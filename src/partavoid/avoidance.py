@@ -2,14 +2,18 @@
 #
 #  Containment and avoidance in Klazar's sense: sigma contains tau when some
 #  subset S of the ground set restricts-and-standardizes to tau.  This module
-#  has the pruned containment search, a deliberately naive all-subsets checker
-#  kept as the test oracle, RGF-word containment for contrast, the block-level
-#  criterion for the patterns 1..(a-1)(a+1)..k/a, and the sharded brute-force
-#  counter over the RGF prefix tree.
+#  has the pruned containment search (the point query), a deliberately naive
+#  all-subsets checker kept as the test oracle, RGF-word containment for
+#  contrast, the block-level criterion for the patterns 1..(a-1)(a+1)..k/a,
+#  and the brute-force counter over the RGF prefix tree.  The counter never
+#  searches a prefix from scratch: each node carries its set of partial
+#  embeddings of the pattern, a map from pattern blocks to host blocks with
+#  the number of pattern elements placed, and updates it as each element is
+#  added.  Later elements exceed the whole prefix, so positions never matter
+#  and, for one map, more elements placed dominates fewer.
 #
 ###############################################################################
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -204,76 +208,81 @@ class AvoidanceQuery:
         return count_avoiders(self.n, self.pattern, shards)
 
 
-def _new_containment(blocks, pb, k, s, bi):
-    # does the prefix contain the pattern using s, which must play the
-    # pattern's maximum element?  blocks[bi] is the block s just joined
-    bound = [-1] * (max(pb[1:]) + 1)
-    bound[pb[k]] = bi
-
-    def dfs(e, limit, usedmask):
-        if e == 0:
-            return True
-        t = pb[e]
-        j = bound[t]
-        if j >= 0:
-            for x in reversed(blocks[j]):
-                if x >= limit:
-                    continue
-                if x < e:
-                    break
-                if dfs(e - 1, x, usedmask):
-                    return True
-            return False
-        for j2, blk in enumerate(blocks):
-            if usedmask >> j2 & 1:
-                continue
-            bound[t] = j2
-            for x in reversed(blk):
-                if x >= limit:
-                    continue
-                if x < e:
-                    break
-                if dfs(e - 1, x, usedmask | (1 << j2)):
-                    return True
-            bound[t] = -1
-        return False
-
-    return dfs(k - 1, s, 1 << bi)
-
-
 def _walk_unit(n, k, pb, unit):
-    """Per-depth avoider counts for the subtree under one RGF prefix."""
+    """Per-depth avoider counts for the subtree under one RGF prefix.
+
+    Each node carries the partial embeddings of the pattern into its prefix
+    as a dict m -> j: m gives the host block of each pattern block 0..r-1 in
+    RGF order, and j is the largest number of pattern elements 1..j placed
+    with that map.  Every later host element exceeds the whole prefix, so
+    positions never matter and, for a fixed m, a larger j dominates a
+    smaller one.  Adding element s to host block bi extends (m, j) when the
+    pattern block t of element j+1 is already mapped to bi, or is new and bi
+    is not yet in m (giving m + (bi,)).  Reaching j == k means the prefix
+    contains the pattern, and its subtree is pruned.  States that can no
+    longer reach k within the n - s elements left are dropped, and the
+    children of a node at depth n - 1 are counted from its states directly.
+    """
+    nxt = pb[1:]  # nxt[j] is the pattern block of element j + 1
+    last = k - 1
     counts = [0] * (n + 1)
-    blocks = []
+
+    def place(states, bi, need):
+        # the states once one more element joins host block bi, keeping
+        # those with j >= need; None when the pattern is now embedded
+        child = None
+        for m, j in states.items():
+            t = nxt[j]
+            if t < len(m):
+                if m[t] != bi:
+                    continue
+                grown = m
+            elif bi in m:
+                continue
+            else:
+                grown = m + (bi,)
+            j += 1
+            if j == k:
+                return None
+            if child is None:
+                child = {m2: j2 for m2, j2 in states.items() if j2 >= need}
+            if j >= need and child.get(grown, 0) < j:
+                child[grown] = j
+        return states if child is None else child
+
+    def leaves(nb, states):
+        # children of a depth n - 1 node that still avoid the pattern: the
+        # states one element short each rule out one block or all blocks
+        # outside their map
+        alive = set(range(nb + 1))
+        t = nxt[last]
+        for m, j in states.items():
+            if j == last:
+                if t < len(m):
+                    alive.discard(m[t])
+                else:
+                    alive.intersection_update(m)
+        return len(alive)
+
+    def rec(s, nb, states):
+        if s == n:
+            counts[s] += leaves(nb, states)
+            return
+        need = k - (n - s)
+        for bi in range(nb + 1):
+            child = place(states, bi, need)
+            if child is not None:
+                counts[s] += 1
+                rec(s + 1, nb + (bi == nb), child)
+
+    states = {(): 0}
     for s, letter in enumerate(unit, start=1):
-        bi = letter - 1
-        if bi == len(blocks):
-            blocks.append([s])
-        else:
-            blocks[bi].append(s)
-        if s >= k and _new_containment(blocks, pb, k, s, bi):
+        states = place(states, letter - 1, k - (n - s))
+        if states is None:
             return counts  # the whole subtree contains the pattern
     counts[len(unit)] += 1
-
-    def rec(s):
-        for bi in range(len(blocks) + 1):
-            if bi == len(blocks):
-                blocks.append([s])
-                fresh = True
-            else:
-                blocks[bi].append(s)
-                fresh = False
-            if s < k or not _new_containment(blocks, pb, k, s, bi):
-                counts[s] += 1
-                if s < n:
-                    rec(s + 1)
-            if fresh:
-                blocks.pop()
-            else:
-                blocks[bi].pop()
-
     if len(unit) < n:
-        rec(len(unit) + 1)
+        rec(len(unit) + 1, max(unit), states)
     return counts
 
 
@@ -288,7 +297,9 @@ def avoider_counts(n, tau, shards=1):
     """List c with c[d] = |Pi_d(tau)| for 1 <= d <= n, from one shardable walk.
 
     A prefix that contains the pattern is pruned with its whole subtree;
-    every surviving node of depth d is one avoider of [d].
+    every surviving node of depth d is one avoider of [d].  The shards split
+    the work units into lanes that run one after another, so the counts do
+    not depend on the shard count.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -297,24 +308,11 @@ def avoider_counts(n, tau, shards=1):
     tau, k, pb = _pattern_data(tau)
     units = _shard_units(n)
     lanes = [units[w::shards] for w in range(min(shards, len(units)))]
-
-    def run(lane):
-        out = [0] * (n + 1)
+    counts = [0] * (n + 1)
+    for lane in lanes:
         for unit in lane:
             for d, c in enumerate(_walk_unit(n, k, pb, unit)):
-                out[d] += c
-        return out
-
-    if shards == 1:
-        results = [run(lanes[0])]
-    else:
-        with ThreadPoolExecutor(max_workers=len(lanes)) as pool:
-            results = list(pool.map(run, lanes))
-
-    counts = [0] * (n + 1)
-    for out in results:
-        for d in range(n + 1):
-            counts[d] += out[d]
+                counts[d] += c
     if n >= 2:
         counts[1] = 0 if k == 1 else 1  # the root node is shared by both units
     return counts

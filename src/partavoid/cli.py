@@ -24,10 +24,8 @@ from dataclasses import dataclass
 
 from .avoidance import avoids, contains, containment_witness, count_avoiders
 from .bijections import (
-    caps_of,
     decode_14_2_3,
     decode_1_24_3,
-    delta_insertion_encode,
     encode_14_2_3,
     encode_1_24_3,
     generate_14_23_core,
@@ -106,11 +104,14 @@ def _parse_pattern(text):
 
 
 def _default_shards():
-    raw = os.environ.get(ENV_SHARDS, "1")
+    raw = os.environ.get(ENV_SHARDS) or "1"
     try:
-        return max(1, int(raw))
+        shards = int(raw)
     except ValueError:
-        return 1
+        shards = 0
+    if shards < 1:
+        _fail(2, f"{ENV_SHARDS} must be a positive integer, got {raw!r}")
+    return shards
 
 
 # =========================================================================
@@ -127,6 +128,8 @@ def _is_all_singletons(tau):
 
 def _formula_count(tau, n):
     """Closed-sum value, or None when no formula covers the pattern."""
+    if tau.n < 2:
+        return None
     if _is_single_block(tau):
         return count_beta_k(n, tau.n)
     if _is_all_singletons(tau):
@@ -146,6 +149,8 @@ def _formula_count(tau, n):
 
 def _gf_count(tau, n):
     """Series-coefficient value, or None."""
+    if tau.n < 2:
+        return None
     if _is_single_block(tau):
         return egf_crosscheck_beta_k(n, tau.n)[n]
     if _is_all_singletons(tau):
@@ -489,7 +494,11 @@ def _build_parser():
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     cmd = args.subcommand
-    shards = getattr(args, "shards", None) or _default_shards()
+    shards = getattr(args, "shards", 1)  # avoid and verify take no shards
+    if shards is None:
+        shards = _default_shards()
+    elif shards < 1:
+        _fail(2, f"need --shards >= 1, got {shards}")
     if cmd == "count":
         return cmd_count(CliConfig("count", pattern=args.pattern, n=args.n,
                                    shards=shards, method=args.method))

@@ -22,7 +22,7 @@ from partavoid.core import (
     standardize,
 )
 
-from conftest import BELL, K4_ROWS, K5_ROWS
+from conftest import BELL, K4_COMPLEMENTS, K4_ROWS, K5_ROWS
 
 
 P = SetPartition.parse
@@ -132,6 +132,24 @@ def test_oracle_matches_naive_filter():
     for n in range(1, 8):
         naive = sum(1 for p in iter_partitions(n) if avoids(p, tau))
         assert count_avoiders(n, tau) == naive
+
+
+def test_walk_matches_bruteforce_filter():
+    for k in range(1, 5):
+        for tau in iter_partitions(k):
+            counts = avoider_counts(7, tau)
+            for n in range(1, 8):
+                naive = sum(1 for p in iter_partitions(n)
+                            if not contains_bruteforce(p, tau))
+                assert counts[n] == naive, (tau, n)
+
+
+def test_walk_reproduces_k4_rows_for_every_pattern():
+    for tau in iter_partitions(4):
+        text = str(tau)
+        row = list(K4_ROWS[K4_COMPLEMENTS.get(text, text)])
+        for shards in (1, 2, 3):
+            assert avoider_counts(10, tau, shards=shards)[1:] == row, (text, shards)
 
 
 def test_avoider_counts_vector():

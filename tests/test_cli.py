@@ -67,6 +67,31 @@ def test_count_env_shards(capsys, monkeypatch):
     assert rc == 0 and out.strip() == "122"
 
 
+@pytest.mark.parametrize("shards", ["0", "-1"])
+def test_count_bad_shards_exits_2(capsys, shards):
+    rc, out, err = run_fail(capsys, "count", "--pattern", "12/34", "--n", "5",
+                            "--shards", shards)
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("raw", ["abc", "0"])
+def test_count_bad_env_shards_exits_2(capsys, monkeypatch, raw):
+    monkeypatch.setenv("PARTAVOID_SHARDS", raw)
+    rc, out, err = run_fail(capsys, "count", "--pattern", "12/34", "--n", "5")
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_count_pattern_of_one(capsys):
+    rc, out, _ = run(capsys, "count", "--pattern", "1", "--n", "3", "--method", "all")
+    assert rc == 0 and out.strip() == "0 AGREE"
+    for method in ("formula", "gf"):
+        rc, _, err = run_fail(capsys, "count", "--pattern", "1", "--n", "3",
+                              "--method", method)
+        assert rc == 3 and err.startswith("error:")
+
+
 # =========================================================================
 # avoid
 # =========================================================================
