@@ -83,8 +83,8 @@ class CliConfig:
     tau: str = ""
     map: str = ""
     method: str = "oracle"
-    k: int = 0
-    n: int = 0
+    k: int | None = None
+    n: int | None = None
     n_max: int = 0
     shards: int = 1
     fmt: str = "text"
@@ -384,10 +384,10 @@ VERIFY_DEFAULTS = {
 def cmd_verify(cfg):
     name = cfg.map
     dflt_k, dflt_n = VERIFY_DEFAULTS[name]
-    k = cfg.k or dflt_k
-    n = cfg.n or dflt_n
+    k = dflt_k if cfg.k is None else cfg.k
+    n = dflt_n if cfg.n is None else cfg.n
     if n < 1 or (k is not None and k < 2):
-        _fail(2, "parameters out of range")
+        _fail(2, f"need --n >= 1 and --k >= 2, got n={n}, k={k}")
     if name == "slide":
         problem = _verify_slide(k, n, cfg.seed)
     elif name == "phi_a":
@@ -491,8 +491,30 @@ def _build_parser():
     return top
 
 
+def _silence_stdout():
+    # what is still buffered goes to devnull, so the interpreter's final
+    # flush cannot raise BrokenPipeError a second time
+    try:
+        fd = sys.stdout.fileno()
+    except (OSError, ValueError):    # not backed by a file descriptor
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    try:
+        try:
+            return _dispatch(_build_parser().parse_args(argv))
+        finally:
+            sys.stdout.flush()
+    except BrokenPipeError:
+        _silence_stdout()
+        _fail(2, "output closed by the reader (broken pipe)")
+
+
+def _dispatch(args):
     cmd = args.subcommand
     shards = getattr(args, "shards", 1)  # avoid and verify take no shards
     if shards is None:
@@ -505,8 +527,8 @@ def main(argv=None):
     if cmd == "avoid":
         return cmd_avoid(CliConfig("avoid", sigma=args.sigma, tau=args.tau))
     if cmd == "verify":
-        return cmd_verify(CliConfig("verify", map=args.map, k=args.k or 0,
-                                    n=args.n or 0, seed=args.seed))
+        return cmd_verify(CliConfig("verify", map=args.map, k=args.k,
+                                    n=args.n, seed=args.seed))
     n_max = args.n_max if args.n_max is not None else default_horizon(args.k)
     cfg = CliConfig(cmd, k=args.k, n_max=n_max, shards=shards, fmt=args.fmt)
     return cmd_table(cfg) if cmd == "table" else cmd_classes(cfg)

@@ -7,12 +7,14 @@
 #  for 14/2/3 and 1/24/3, the algebraic one for 14/23, Catalan for 13/24,
 #  and a small exact power-series calculus (Fraction coefficients) to pull
 #  all of it through sqrt, composition, and division without rounding.
+#  Products convolve integer numerators over one common denominator, so
+#  the inner loops do int arithmetic; sqrt is the O(N^2) coefficient
+#  recurrence.
 #
 ###############################################################################
 
 from fractions import Fraction
-from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 from .core import falling, m_count, perfect_matchings, stirling2
 
@@ -55,7 +57,7 @@ class PowerSeries:
     __slots__ = ("coeffs", "N")
 
     def __init__(self, coeffs, N=None):
-        coeffs = [Fraction(c) for c in coeffs]
+        coeffs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         if N is None:
             N = len(coeffs) - 1
         if N < 0:
@@ -104,13 +106,19 @@ class PowerSeries:
     def __mul__(self, other):
         other = _coerce(other, self.N)
         N = min(self.N, other.N)
-        out = [Fraction(0)] * (N + 1)
-        for i, a in enumerate(self.coeffs[:N + 1]):
-            if not a:
+        da, a = _common_denominator(self.coeffs[:N + 1])
+        db, b = _common_denominator(other.coeffs[:N + 1])
+        b_terms = [(j, y) for j, y in enumerate(b) if y]
+        out = [0] * (N + 1)
+        for i, x in enumerate(a):
+            if not x:
                 continue
-            for j in range(N + 1 - i):
-                out[i + j] += a * other.coeffs[j]
-        return PowerSeries(out, N)
+            for j, y in b_terms:
+                if i + j > N:
+                    break
+                out[i + j] += x * y
+        d = da * db
+        return PowerSeries([Fraction(c, d) for c in out], N)
 
     __rmul__ = __mul__
 
@@ -132,29 +140,18 @@ class PowerSeries:
         return _coerce(other, self.N) / self
 
     def sqrt(self):
-        """Binomial-series square root; the constant term must be 1."""
+        """Square root with constant term 1, by the coefficient recurrence
+        h_0 = 1, h_n = (f_n - sum_{0<i<n} h_i h_{n-i}) / 2."""
         if self.coeffs[0] != 1:
             raise SqrtNonUnit("sqrt needs constant term 1")
-        # work two orders past N so downstream composition cannot see a
-        # corrupted boundary coefficient
-        M = self.N + 2
-        g = [Fraction(0)] + list(self.coeffs[1:]) + [Fraction(0)] * 2
-        out = [Fraction(0)] * (M + 1)
-        out[0] = Fraction(1)
-        power = [Fraction(1)] + [Fraction(0)] * M      # g^j, starts at j=0
-        binom = Fraction(1)                            # C(1/2, j)
-        for j in range(1, M + 1):
-            nxt = [Fraction(0)] * (M + 1)
-            for i, a in enumerate(power):
-                if not a:
-                    continue
-                for d in range(1, M + 1 - i):
-                    nxt[i + d] += a * g[d]
-            power = nxt
-            binom *= Fraction(Fraction(1, 2) - (j - 1), j)
-            for i in range(M + 1):
-                out[i] += binom * power[i]
-        return PowerSeries(out[:self.N + 1], self.N)
+        f = self.coeffs
+        h = [Fraction(1)]
+        for n in range(1, self.N + 1):
+            acc = f[n]
+            for i in range(1, n):
+                acc -= h[i] * h[n - i]
+            h.append(acc / 2)
+        return PowerSeries(h, self.N)
 
     def compose(self, inner):
         """self(inner); inner must vanish at 0."""
@@ -164,7 +161,8 @@ class PowerSeries:
         N = min(self.N, inner.N)
         acc = PowerSeries([0], N)
         for c in reversed(self.coeffs[:N + 1]):
-            acc = acc * inner + PowerSeries([c], N)
+            # inner(0) = 0, so c is the whole constant term of acc * inner + c
+            acc = PowerSeries((c,) + (acc * inner).coeffs[1:], N)
         return acc
 
     def integer_coeffs(self):
@@ -178,6 +176,13 @@ def _coerce(x, N):
     if isinstance(x, PowerSeries):
         return x
     return PowerSeries([x], N)
+
+
+def _common_denominator(coeffs):
+    """(d, nums) with coeffs[i] == nums[i] / d; d is the lcm of the
+    denominators, so products of nums are plain int arithmetic."""
+    d = lcm(*(c.denominator for c in coeffs))
+    return d, [c.numerator * (d // c.denominator) for c in coeffs]
 
 
 def geometric(N):
@@ -253,18 +258,19 @@ def _poly_div_one_minus_t(poly):
 # closed counting formulas
 # =========================================================================
 
-@lru_cache(maxsize=None)
 def count_beta_k(n, k):
     """Partitions of [n] with every block smaller than k (avoiders of the
-    length-k single-block pattern), by conditioning on the block of n."""
+    length-k single-block pattern), by conditioning on the block of n:
+    a(m) = sum_{j=1}^{min(k-1, m)} C(m-1, j-1) a(m-j), built up from a(0) = 1."""
     if k < 2:
         raise ValueError("need k >= 2")
     if n < 0:
         raise ValueError("need n >= 0")
-    if n == 0:
-        return 1
-    return sum(comb(n - 1, j - 1) * count_beta_k(n - j, k)
-               for j in range(1, min(k - 1, n) + 1))
+    a = [1]
+    for m in range(1, n + 1):
+        a.append(sum(comb(m - 1, j - 1) * a[m - j]
+                     for j in range(1, min(k - 1, m) + 1)))
+    return a[n]
 
 
 def count_sigma_k(n, k):

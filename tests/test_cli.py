@@ -1,4 +1,6 @@
+import io
 import json
+import sys
 
 import pytest
 
@@ -92,6 +94,14 @@ def test_count_pattern_of_one(capsys):
         assert rc == 3 and err.startswith("error:")
 
 
+def test_count_formula_far_past_the_oracle(capsys):
+    # the single-block formula is a bottom-up recurrence, not one frame per n
+    rc, out, err = run(capsys, "count", "--pattern", "1234", "--n", "1000",
+                       "--method", "formula")
+    assert rc == 0 and err == ""
+    assert out.strip().isdigit() and len(out.strip()) > 1000
+
+
 # =========================================================================
 # avoid
 # =========================================================================
@@ -139,6 +149,15 @@ def test_verify_reports_size(capsys):
     assert rc == 0 and out.strip() == "pass: psi (k=3, n=5)"
 
 
+@pytest.mark.parametrize("flags", [["--n", "0"], ["--k", "0"], ["--k", "4", "--n", "0"]])
+@pytest.mark.parametrize("name", ["rgf_R", "core_14_23"])
+def test_verify_zero_is_out_of_range(capsys, name, flags):
+    # an explicit 0 is a value, not "use the default"
+    rc, out, err = run_fail(capsys, "verify", "--map", name, *flags)
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
 # =========================================================================
 # table and classes
 # =========================================================================
@@ -178,3 +197,21 @@ def test_classes_csv(capsys):
     lines = out.strip().splitlines()
     assert rc == 0 and lines[0] == "class,pattern,status"
     assert len(lines) == 1 + 5
+
+
+# =========================================================================
+# a reader that goes away
+# =========================================================================
+
+class _ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_broken_pipe_exits_2_without_traceback(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    with pytest.raises(SystemExit) as exc:
+        main(["classes", "--k", "3", "--n-max", "5", "--format", "json"])
+    _, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert err.startswith("error:") and len(err.splitlines()) == 1

@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -82,6 +84,96 @@ def test_series_integer_coeffs_guard():
     f = PowerSeries([Fraction(1, 2)], 4)
     with pytest.raises(NonIntegralCoefficient):
         f.integer_coeffs()
+
+
+# =========================================================================
+# the integer-numerator kernel against a slow schoolbook reference
+# =========================================================================
+
+def _ref_mul(a, b, N):
+    out = [Fraction(0)] * (N + 1)
+    for i in range(N + 1):
+        for j in range(N + 1 - i):
+            out[i + j] += a[i] * b[j]
+    return out
+
+
+def _ref_sqrt(f, N):
+    # binomial series: sum over j of C(1/2, j) (f - 1)^j
+    g = [Fraction(0)] + list(f[1:N + 1])
+    out = [Fraction(0)] * (N + 1)
+    power = [Fraction(1)] + [Fraction(0)] * N
+    binom = Fraction(1)
+    for j in range(N + 1):
+        out = [o + binom * p for o, p in zip(out, power)]
+        power = _ref_mul(power, g, N)
+        binom *= (Fraction(1, 2) - j) / (j + 1)
+    return out
+
+
+def _ref_compose(f, g, N):
+    acc = [Fraction(0)] * (N + 1)
+    for c in reversed(f[:N + 1]):
+        acc = _ref_mul(acc, g, N)
+        acc[0] += c
+    return acc
+
+
+def _random_series(rng, N, density=None):
+    if density is None:
+        density = rng.choice([0.0, 0.2, 0.6, 1.0])
+    return PowerSeries([Fraction(rng.randint(-30, 30), rng.randint(1, 40))
+                        if rng.random() < density else 0 for _ in range(N + 1)], N)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_kernel_mul_matches_schoolbook(seed):
+    rng = random.Random(seed)
+    for _ in range(12):
+        a = _random_series(rng, rng.randint(0, 14))
+        b = _random_series(rng, rng.randint(0, 14))
+        N = min(a.N, b.N)
+        want = _ref_mul(a.coeffs, b.coeffs, N)
+        for got in (a * b, b * a):
+            assert got.N == N and got.coeffs == tuple(want)
+            assert all(type(c) is Fraction for c in got.coeffs)
+        for scalar in (0, 3, Fraction(-2, 7)):
+            want = _ref_mul(a.coeffs, [Fraction(scalar)] + [Fraction(0)] * a.N, a.N)
+            for got in (a * scalar, scalar * a):
+                assert got.N == a.N and got.coeffs == tuple(want)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_kernel_sqrt_matches_binomial_series(seed):
+    rng = random.Random(100 + seed)
+    for _ in range(6):
+        f = _random_series(rng, rng.randint(0, 12))
+        f = PowerSeries((1,) + f.coeffs[1:], f.N)
+        h = f.sqrt()
+        assert h.N == f.N and h.coeffs == tuple(_ref_sqrt(f.coeffs, f.N))
+        assert _ref_mul(h.coeffs, h.coeffs, f.N) == list(f.coeffs)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_kernel_compose_matches_horner(seed):
+    rng = random.Random(200 + seed)
+    for _ in range(6):
+        f = _random_series(rng, rng.randint(0, 12))
+        g = _random_series(rng, rng.randint(0, 12))
+        g = PowerSeries((0,) + g.coeffs[1:], g.N)
+        N = min(f.N, g.N)
+        got = f.compose(g)
+        assert got.N == N and got.coeffs == tuple(_ref_compose(f.coeffs, g.coeffs, N))
+
+
+def test_sqrt_is_exact_at_the_truncation_order():
+    # sqrt(1 - 4z^2) = sum_m -C(2m, m)/(2m - 1) z^(2m), to the last coefficient
+    for N in (0, 1, 2, 7, 84):
+        root = PowerSeries([1, 0, -4], N).sqrt()
+        want = [0] * (N + 1)
+        for m in range(N // 2 + 1):
+            want[2 * m] = Fraction(-comb(2 * m, m), 2 * m - 1)
+        assert root.N == N and list(root.coeffs) == want
 
 
 # =========================================================================
@@ -211,6 +303,18 @@ def test_egf_crosschecks_k4(k4_rows):
 def test_egf_crosschecks_k5(k5_rows):
     assert egf_crosscheck_beta_k(9, 5)[1:] == list(k5_rows["12345"])
     assert egf_crosscheck_sigma_k(9, 5)[1:] == list(k5_rows["1/2/3/4/5"])
+
+
+@pytest.mark.parametrize("k", [4, 5])
+def test_series_agree_with_formulas_to_80(k):
+    # two independent methods, far past the brute-force horizon
+    N = 80
+    assert egf_crosscheck_beta_k(N, k) == [count_beta_k(n, k) for n in range(N + 1)]
+    assert egf_crosscheck_sigma_k(N, k) == [count_sigma_k(n, k) for n in range(N + 1)]
+
+
+def test_gf_13_24_is_catalan_to_80():
+    assert gf_coeffs_13_24(80) == [comb(2 * n, n) // (n + 1) for n in range(81)]
 
 
 def test_sigma_below_beta():
