@@ -40,6 +40,7 @@ from .avoidance import (
     contains,
     contains_bruteforce,
     count_avoiders,
+    iter_avoiders,
     rgf_contains,
 )
 from .bijections import (

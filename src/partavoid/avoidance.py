@@ -5,7 +5,8 @@
 #  has the pruned containment search (the point query), a deliberately naive
 #  all-subsets checker kept as the test oracle, RGF-word containment for
 #  contrast, the block-level criterion for the patterns 1..(a-1)(a+1)..k/a,
-#  and the brute-force counter over the RGF prefix tree.  The counter never
+#  and the brute-force walk over the RGF prefix tree, which both counts the
+#  avoiders (avoider_counts) and lists them (iter_avoiders).  The walk never
 #  searches a prefix from scratch: each node carries its set of partial
 #  embeddings of the pattern, a map from pattern blocks to host blocks with
 #  the number of pattern elements placed, and updates it as each element is
@@ -15,6 +16,7 @@
 ###############################################################################
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 from .core import SetPartition, standardize
@@ -24,15 +26,17 @@ from .core import SetPartition, standardize
 # containment
 # =========================================================================
 
+@lru_cache(maxsize=None)
 def _pattern_data(tau):
-    """Standard form, block index per pattern element, block count."""
+    """Standard form, size k, and the block index of each pattern element
+    1..k (a tuple, as the result is shared by every call for tau)."""
     tau = standardize(tau.blocks)
     k = tau.n
     pb = [0] * (k + 1)
     for ti, b in enumerate(tau.blocks):
         for e in b:
             pb[e] = ti
-    return tau, k, pb
+    return tau, k, tuple(pb)
 
 
 def containment_witness(sigma, tau):
@@ -208,28 +212,24 @@ class AvoidanceQuery:
         return count_avoiders(self.n, self.pattern, shards)
 
 
-def _walk_unit(n, k, pb, unit):
-    """Per-depth avoider counts for the subtree under one RGF prefix.
+def _placer(k, pb):
+    """The walk's transition for a pattern of [k] with block index pb.
 
-    Each node carries the partial embeddings of the pattern into its prefix
-    as a dict m -> j: m gives the host block of each pattern block 0..r-1 in
-    RGF order, and j is the largest number of pattern elements 1..j placed
-    with that map.  Every later host element exceeds the whole prefix, so
-    positions never matter and, for a fixed m, a larger j dominates a
-    smaller one.  Adding element s to host block bi extends (m, j) when the
-    pattern block t of element j+1 is already mapped to bi, or is new and bi
-    is not yet in m (giving m + (bi,)).  Reaching j == k means the prefix
-    contains the pattern, and its subtree is pruned.  States that can no
-    longer reach k within the n - s elements left are dropped, and the
-    children of a node at depth n - 1 are counted from its states directly.
+    Each node of the RGF prefix walk carries the partial embeddings of the
+    pattern into its prefix as a dict m -> j: m gives the host block of each
+    pattern block 0..r-1 in RGF order, and j is the largest number of
+    pattern elements 1..j placed with that map.  Every later host element
+    exceeds the whole prefix, so positions never matter and, for a fixed m,
+    a larger j dominates a smaller one.  Adding an element to host block bi
+    extends (m, j) when the pattern block t of element j+1 is already mapped
+    to bi, or is new and bi is not yet in m (giving m + (bi,)).  The
+    returned place(states, bi, need) gives the child's states, keeping those
+    with j >= need, or None when j reaches k: the child contains the
+    pattern, and its subtree is pruned.
     """
     nxt = pb[1:]  # nxt[j] is the pattern block of element j + 1
-    last = k - 1
-    counts = [0] * (n + 1)
 
     def place(states, bi, need):
-        # the states once one more element joins host block bi, keeping
-        # those with j >= need; None when the pattern is now embedded
         child = None
         for m, j in states.items():
             t = nxt[j]
@@ -249,6 +249,22 @@ def _walk_unit(n, k, pb, unit):
             if j >= need and child.get(grown, 0) < j:
                 child[grown] = j
         return states if child is None else child
+
+    return place
+
+
+def _walk_unit(n, k, pb, unit):
+    """Per-depth avoider counts for the subtree under one RGF prefix.
+
+    Each node's states are updated by the shared transition of _placer.
+    States that can no longer reach k within the n - s elements left are
+    dropped, and the children of a node at depth n - 1 are counted from its
+    states directly.
+    """
+    nxt = pb[1:]
+    last = k - 1
+    counts = [0] * (n + 1)
+    place = _placer(k, pb)
 
     def leaves(nb, states):
         # children of a depth n - 1 node that still avoid the pattern: the
@@ -323,6 +339,39 @@ def count_avoiders(n, tau, shards=1):
     return avoider_counts(n, tau, shards)[n]
 
 
+def iter_avoiders(n, tau):
+    """Every partition of [n] that avoids tau, in lexicographic RGF order.
+
+    The pruned walk of avoider_counts, keeping the blocks of each surviving
+    node as it goes: a prefix that contains the pattern is cut with its
+    whole subtree, so no partition is searched from scratch.
+    """
+    tau, k, pb = _pattern_data(tau)
+    place = _placer(k, pb)
+    blocks = []
+
+    def rec(s, states):
+        # children of the avoider of [s - 1] held in blocks, element s added
+        need = k - (n - s)
+        for bi in range(len(blocks) + 1):
+            child = place(states, bi, need)
+            if child is None:
+                continue
+            if bi == len(blocks):
+                blocks.append([])
+            blocks[bi].append(s)
+            if s == n:
+                yield SetPartition(blocks, n)
+            else:
+                yield from rec(s + 1, child)
+            blocks[bi].pop()
+            if not blocks[bi]:
+                blocks.pop()
+
+    if n >= 1:
+        yield from rec(1, {(): 0})
+
+
 __all__ = [
     "AvoidanceQuery",
     "avoids",
@@ -333,5 +382,6 @@ __all__ = [
     "contains",
     "contains_bruteforce",
     "count_avoiders",
+    "iter_avoiders",
     "rgf_contains",
 ]

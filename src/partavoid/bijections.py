@@ -29,13 +29,12 @@ from .core import (
     Matching,
     RGFWord,
     SetPartition,
-    iter_partitions,
     single_block_pattern,
     singletons_pattern,
     spanning_doubleton_pattern,
     standardize,
 )
-from .avoidance import avoids, block_contains_beta_ambient, contains
+from .avoidance import avoids, block_contains_beta_ambient, contains, iter_avoiders
 
 
 class BijectionError(ValueError):
@@ -480,8 +479,8 @@ def lex_rank_family(alpha, target):
     """Order-preserving injections Pi_m(alpha) -> Pi_m(target) by position
     in the generation order; usable wherever |Pi_m(alpha)| <= |Pi_m(target)|."""
     def family(m):
-        src = [p for p in iter_partitions(m) if avoids(p, alpha)]
-        dst = [p for p in iter_partitions(m) if avoids(p, target)]
+        src = list(iter_avoiders(m, alpha))
+        dst = list(iter_avoiders(m, target))
         if len(src) > len(dst):
             raise ValueError(f"no room for an injection at m={m}")
         table = dict(zip(src, dst))

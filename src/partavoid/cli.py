@@ -21,8 +21,16 @@ import os
 import random
 import sys
 from dataclasses import dataclass
+from functools import partial
 
-from .avoidance import avoids, contains, containment_witness, count_avoiders
+from .avoidance import (
+    avoids,
+    block_contains_beta_ambient,
+    contains,
+    containment_witness,
+    count_avoiders,
+    iter_avoiders,
+)
 from .bijections import (
     decode_14_2_3,
     decode_1_24_3,
@@ -46,7 +54,6 @@ from .bijections import (
     two_block_varphi_inverse,
     _unslide,
 )
-from .avoidance import block_contains_beta_ambient
 from .core import (
     PartitionError,
     SetPartition,
@@ -217,10 +224,9 @@ def cmd_avoid(cfg):
 # verify
 # =========================================================================
 
-def _corpus(n, predicate, seed, cap=20000):
-    """All partitions of [n] passing predicate; subsampled when huge, in
-    which case the second return value flags the loss of exhaustiveness."""
-    pool = [p for p in iter_partitions(n) if predicate(p)]
+def _sample(pool, seed, cap=20000):
+    """The pool, subsampled when huge, in which case the second return value
+    flags the loss of exhaustiveness."""
     if len(pool) > cap:
         rng = random.Random(seed)
         pool = rng.sample(pool, cap)
@@ -229,10 +235,14 @@ def _corpus(n, predicate, seed, cap=20000):
     return pool, False
 
 
+def _corpus(n, tau, seed):
+    """The partitions of [n] that avoid tau, from the pruned walk."""
+    return _sample(list(iter_avoiders(n, tau)), seed)
+
+
 def _verify_slide(k, n, seed):
     for a in range(2, k):
-        hi = punctured_block_pattern(k, a + 1)
-        pool, _ = _corpus(n, lambda p: avoids(p, hi), seed)
+        pool, _ = _corpus(n, punctured_block_pattern(k, a + 1), seed)
         for pi in pool:
             for i in range(1, len(pi.blocks) + 1):
                 if not block_contains_beta_ambient(pi.blocks[i - 1], k, a, n):
@@ -247,9 +257,8 @@ def _verify_slide(k, n, seed):
 
 def _verify_phi_a(k, n, seed):
     for a in range(2, k):
-        hi = punctured_block_pattern(k, a + 1)
         lo = punctured_block_pattern(k, a)
-        src, sampled = _corpus(n, lambda p: avoids(p, hi), seed)
+        src, sampled = _corpus(n, punctured_block_pattern(k, a + 1), seed)
         images = set()
         for pi in src:
             out = phi_a(pi, k, a)
@@ -260,19 +269,17 @@ def _verify_phi_a(k, n, seed):
             images.add(out)
         if len(images) != len(src):
             return f"phi_a not injective at a={a} n={n}"
-        if a < k - 1 and not sampled:
-            full = sum(1 for p in iter_partitions(n) if avoids(p, lo))
-            if len(images) != full:
-                return f"phi_a not surjective at a={a} n={n}"
+        if a < k - 1 and not sampled and len(images) != count_avoiders(n, lo):
+            return f"phi_a not surjective at a={a} n={n}"
     return None
 
 
 def _verify_two_block(k, n, seed):
     beta = single_block_pattern(k)
+    src, _ = _sample([p for p in iter_partitions(n) if contains(p, beta)], seed)
     for sigma in iter_partitions(k):
         if len(sigma.blocks) != 2:
             continue
-        src, _ = _corpus(n, lambda p: contains(p, beta), seed)
         images = set()
         for pi in src:
             out = two_block_varphi(pi, sigma)
@@ -290,8 +297,7 @@ def _verify_two_block(k, n, seed):
 
 def _verify_psi(k, n, seed):
     beta = single_block_pattern(k)
-    sig = singletons_pattern(k)
-    src, _ = _corpus(n, lambda p: avoids(p, sig), seed)
+    src, _ = _corpus(n, singletons_pattern(k), seed)
     images = set()
     for pi in src:
         out = psi_sigma_beta(pi, k)
@@ -305,7 +311,7 @@ def _verify_psi(k, n, seed):
     return None
 
 
-def _verify_words(n, variant):
+def _verify_words(variant, k, n, seed):
     if variant == "14_2_3":
         words = list(iter_abc_words(n, star=True))
         enc, dec = encode_14_2_3, decode_14_2_3
@@ -328,7 +334,7 @@ def _verify_words(n, variant):
     return None
 
 
-def _verify_rgf_R(k, n):
+def _verify_rgf_R(k, n, seed):
     rgfs = list(iter_rgf_words(n, max_letter=k - 1))
     rws = {tuple(v) for v in iter_r_words(n, k)}
     if len(rgfs) != len(rws):
@@ -342,11 +348,10 @@ def _verify_rgf_R(k, n):
     return None
 
 
-def _verify_core(n):
-    pat = SetPartition.parse("14/23")
+def _verify_core(k, n, seed):
     core = {c.partition for c in generate_14_23_core(n)}
-    oracle = {p for p in iter_partitions(n)
-              if avoids(p, pat) and not p.singletons()}
+    oracle = {p for p in iter_avoiders(n, SetPartition.parse("14/23"))
+              if not p.singletons()}
     if core != oracle:
         extra = core - oracle
         missing = oracle - core
@@ -354,9 +359,8 @@ def _verify_core(n):
     return None
 
 
-def _verify_phi_134_2(n, seed):
-    pat = SetPartition.parse("134/2")
-    pool, _ = _corpus(n, lambda p: avoids(p, pat), seed)
+def _verify_phi_134_2(k, n, seed):
+    pool, _ = _corpus(n, SetPartition.parse("134/2"), seed)
     for pi in pool:
         try:
             lam, skel = phi_134_2(pi)
@@ -367,45 +371,28 @@ def _verify_phi_134_2(n, seed):
     return None
 
 
-VERIFY_DEFAULTS = {
-    # map -> (k, n)
-    "slide": (5, 7),
-    "phi_a": (5, 7),
-    "two_block": (4, 7),
-    "psi": (4, 8),
-    "words_14_2_3": (None, 8),
-    "words_1_24_3": (None, 8),
-    "rgf_R": (4, 8),
-    "core_14_23": (None, 8),
-    "phi_134_2": (None, 7),
+VERIFY = {
+    # map -> (check(k, n, seed), default k, default n); k None: the map has none
+    "slide": (_verify_slide, 5, 7),
+    "phi_a": (_verify_phi_a, 5, 7),
+    "two_block": (_verify_two_block, 4, 7),
+    "psi": (_verify_psi, 4, 8),
+    "words_14_2_3": (partial(_verify_words, "14_2_3"), None, 8),
+    "words_1_24_3": (partial(_verify_words, "1_24_3"), None, 8),
+    "rgf_R": (_verify_rgf_R, 4, 8),
+    "core_14_23": (_verify_core, None, 8),
+    "phi_134_2": (_verify_phi_134_2, None, 7),
 }
 
 
 def cmd_verify(cfg):
     name = cfg.map
-    dflt_k, dflt_n = VERIFY_DEFAULTS[name]
+    check, dflt_k, dflt_n = VERIFY[name]
     k = dflt_k if cfg.k is None else cfg.k
     n = dflt_n if cfg.n is None else cfg.n
     if n < 1 or (k is not None and k < 2):
         _fail(2, f"need --n >= 1 and --k >= 2, got n={n}, k={k}")
-    if name == "slide":
-        problem = _verify_slide(k, n, cfg.seed)
-    elif name == "phi_a":
-        problem = _verify_phi_a(k, n, cfg.seed)
-    elif name == "two_block":
-        problem = _verify_two_block(k, n, cfg.seed)
-    elif name == "psi":
-        problem = _verify_psi(k, n, cfg.seed)
-    elif name == "words_14_2_3":
-        problem = _verify_words(n, "14_2_3")
-    elif name == "words_1_24_3":
-        problem = _verify_words(n, "1_24_3")
-    elif name == "rgf_R":
-        problem = _verify_rgf_R(k, n)
-    elif name == "core_14_23":
-        problem = _verify_core(n)
-    else:
-        problem = _verify_phi_134_2(n, cfg.seed)
+    problem = check(k, n, cfg.seed)
     if problem:
         print(f"fail: {name}: {problem}")
         raise SystemExit(5)
@@ -470,7 +457,7 @@ def _build_parser():
     p.add_argument("--tau", required=True, help="pattern text")
 
     p = sub.add_parser("verify", help="run a map's property suite")
-    p.add_argument("--map", required=True, choices=sorted(VERIFY_DEFAULTS))
+    p.add_argument("--map", required=True, choices=sorted(VERIFY))
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)

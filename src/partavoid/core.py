@@ -387,13 +387,16 @@ def spanning_doubleton_pattern(k):
 
 @lru_cache(maxsize=None)
 def stirling2(n, k):
+    """S(n, k), by S(i, j) = j S(i-1, j) + S(i-1, j-1) run bottom-up over the
+    rows i = 1..n, keeping the columns j = 0..k."""
     if n < 0 or k < 0:
         raise ValueError("arguments must be nonnegative")
-    if n == 0:
-        return 1 if k == 0 else 0
-    if k == 0 or k > n:
-        return 0
-    return k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
+    row = [1] + [0] * k  # row 0
+    for i in range(1, n + 1):
+        for j in range(min(i, k), 0, -1):
+            row[j] = j * row[j] + row[j - 1]
+        row[0] = 0
+    return row[k]
 
 
 def bell(n):

@@ -12,6 +12,7 @@ from partavoid.avoidance import (
     contains,
     contains_bruteforce,
     count_avoiders,
+    iter_avoiders,
     rgf_contains,
 )
 from partavoid.core import (
@@ -135,13 +136,34 @@ def test_oracle_matches_naive_filter():
 
 
 def test_walk_matches_bruteforce_filter():
+    # both uses of the walk, the counts and the listing (order included)
     for k in range(1, 5):
         for tau in iter_partitions(k):
             counts = avoider_counts(7, tau)
             for n in range(1, 8):
-                naive = sum(1 for p in iter_partitions(n)
-                            if not contains_bruteforce(p, tau))
-                assert counts[n] == naive, (tau, n)
+                naive = [p for p in iter_partitions(n)
+                         if not contains_bruteforce(p, tau)]
+                assert counts[n] == len(naive), (tau, n)
+                assert list(iter_avoiders(n, tau)) == naive, (tau, n)
+
+
+def test_iter_avoiders_edge_patterns():
+    # a pattern of [1] is in every partition; one longer than n in none
+    assert list(iter_avoiders(5, P("1"))) == []
+    assert list(iter_avoiders(0, P("12"))) == []
+    for n in range(1, 6):
+        assert list(iter_avoiders(n, P("123456"))) == list(iter_partitions(n))
+        assert len(list(iter_avoiders(n, P("1/2/3/4/5/6")))) == BELL[n]
+
+
+def test_iter_avoiders_reproduces_k4_rows():
+    for text, row in K4_ROWS.items():
+        tau = P(text)
+        for n in range(1, 9):
+            got = list(iter_avoiders(n, tau))
+            assert len(got) == count_avoiders(n, tau) == row[n - 1], (text, n)
+            assert len(set(got)) == len(got)
+            assert all(p.n == n for p in got)
 
 
 def test_walk_reproduces_k4_rows_for_every_pattern():

@@ -102,6 +102,15 @@ def test_count_formula_far_past_the_oracle(capsys):
     assert out.strip().isdigit() and len(out.strip()) > 1000
 
 
+@pytest.mark.parametrize("pattern", ["1/2/3/4", "12/3/4"])
+def test_count_formula_through_stirling2_far_past_the_oracle(capsys, pattern):
+    # the Stirling numbers are a bottom-up row loop, not one frame per n
+    rc, out, err = run(capsys, "count", "--pattern", pattern, "--n", "600",
+                       "--method", "formula")
+    assert rc == 0 and err == ""
+    assert out.strip().isdigit() and len(out.strip()) > 150
+
+
 # =========================================================================
 # avoid
 # =========================================================================
@@ -142,6 +151,22 @@ def test_verify_maps(capsys, name, flags):
     rc, out, _ = run(capsys, "verify", "--map", name, *flags)
     assert rc == 0
     assert out.startswith("pass: " + name)
+
+
+@pytest.mark.parametrize("name,line", [
+    ("slide", "pass: slide (k=5, n=7)"),
+    ("phi_a", "pass: phi_a (k=5, n=7)"),
+    ("two_block", "pass: two_block (k=4, n=7)"),
+    ("psi", "pass: psi (k=4, n=8)"),
+    ("words_14_2_3", "pass: words_14_2_3 (n=8)"),
+    ("words_1_24_3", "pass: words_1_24_3 (n=8)"),
+    ("rgf_R", "pass: rgf_R (k=4, n=8)"),
+    ("core_14_23", "pass: core_14_23 (n=8)"),
+    ("phi_134_2", "pass: phi_134_2 (n=7)"),
+])
+def test_verify_defaults_exact_line(capsys, name, line):
+    rc, out, _ = run(capsys, "verify", "--map", name, "--seed", "17")
+    assert rc == 0 and out == line + "\n"
 
 
 def test_verify_reports_size(capsys):

@@ -1,3 +1,5 @@
+from functools import lru_cache
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -139,6 +141,22 @@ def test_counting_helpers():
     assert double_factorial(6) == 48 and double_factorial(5) == 15
     assert perfect_matchings(6) == 15 and perfect_matchings(0) == 1
     assert falling(5, 2) == 20 and falling(3, 0) == 1
+
+
+def test_stirling2_loop_matches_recurrence():
+    @lru_cache(maxsize=None)
+    def recursive(n, k):
+        if n == 0:
+            return 1 if k == 0 else 0
+        if k == 0 or k > n:
+            return 0
+        return k * recursive(n - 1, k) + recursive(n - 1, k - 1)
+
+    for n in range(31):
+        for k in range(31):
+            assert stirling2(n, k) == recursive(n, k), (n, k)
+    with pytest.raises(ValueError):
+        stirling2(-1, 0)
 
 
 def test_pattern_factories():
