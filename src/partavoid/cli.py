@@ -20,7 +20,6 @@ import json
 import os
 import random
 import sys
-from dataclasses import dataclass
 from functools import partial
 
 from .avoidance import (
@@ -63,39 +62,10 @@ from .core import (
     single_block_pattern,
     singletons_pattern,
 )
-from .enumeration import (
-    count_12_34,
-    count_12_3_4,
-    count_134_2,
-    count_1_234,
-    count_beta_k,
-    count_sigma_k,
-    egf_crosscheck_beta_k,
-    egf_crosscheck_sigma_k,
-    gf_coeffs_13_24,
-    gf_coeffs_14_23,
-    gf_coeffs_14_2_3,
-    gf_coeffs_1_24_3,
-)
+from .enumeration import closed_count
 from .wilf import build_table, default_horizon, wilf_classes
 
 ENV_SHARDS = "PARTAVOID_SHARDS"
-
-
-@dataclass
-class CliConfig:
-    subcommand: str
-    pattern: str = ""
-    sigma: str = ""
-    tau: str = ""
-    map: str = ""
-    method: str = "oracle"
-    k: int | None = None
-    n: int | None = None
-    n_max: int = 0
-    shards: int = 1
-    fmt: str = "text"
-    seed: int = 0
 
 
 def _fail(code, message):
@@ -125,76 +95,22 @@ def _default_shards():
 # count
 # =========================================================================
 
-def _is_single_block(tau):
-    return len(tau.blocks) == 1
-
-
-def _is_all_singletons(tau):
-    return all(len(b) == 1 for b in tau.blocks)
-
-
-def _formula_count(tau, n):
-    """Closed-sum value, or None when no formula covers the pattern."""
-    if tau.n < 2:
-        return None
-    if _is_single_block(tau):
-        return count_beta_k(n, tau.n)
-    if _is_all_singletons(tau):
-        return count_sigma_k(n, tau.n)
-    text = str(tau)
-    comp = str(tau.complement())
-    if "12/3/4" in (text, comp):
-        return count_12_3_4(n)
-    if text == "12/34":
-        return count_12_34(n)
-    if "1/234" in (text, comp):
-        return count_1_234(n)
-    if "134/2" in (text, comp):
-        return count_134_2(n)
-    return None
-
-
-def _gf_count(tau, n):
-    """Series-coefficient value, or None."""
-    if tau.n < 2:
-        return None
-    if _is_single_block(tau):
-        return egf_crosscheck_beta_k(n, tau.n)[n]
-    if _is_all_singletons(tau):
-        return egf_crosscheck_sigma_k(n, tau.n)[n]
-    text = str(tau)
-    comp = str(tau.complement())
-    if text == "14/2/3" or comp == "14/2/3":
-        return gf_coeffs_14_2_3(n)[n]
-    if "1/24/3" in (text, comp):
-        return gf_coeffs_1_24_3(n)[n]
-    if text == "14/23":
-        return gf_coeffs_14_23(n)[n]
-    if text == "13/24":
-        return gf_coeffs_13_24(n)[n]
-    return None
-
-
-def cmd_count(cfg):
-    tau = _parse_pattern(cfg.pattern)
-    if cfg.n < 1:
+def cmd_count(args):
+    tau = _parse_pattern(args.pattern)
+    if args.n < 1:
         _fail(2, "need --n >= 1")
     values = []
-    if cfg.method in ("oracle", "all"):
-        values.append(count_avoiders(cfg.n, tau, shards=cfg.shards))
-    if cfg.method in ("formula", "all"):
-        v = _formula_count(tau, cfg.n)
-        if v is None and cfg.method == "formula":
-            _fail(3, f"no formula for pattern {cfg.pattern!r}")
-        if v is not None:
-            values.append(v)
-    if cfg.method in ("gf", "all"):
-        v = _gf_count(tau, cfg.n)
-        if v is None and cfg.method == "gf":
-            _fail(3, f"no generating function for pattern {cfg.pattern!r}")
-        if v is not None:
-            values.append(v)
-    if cfg.method == "all":
+    if args.method in ("oracle", "all"):
+        values.append(count_avoiders(args.n, tau, shards=args.shards))
+    for method, what in (("formula", "formula"), ("gf", "generating function")):
+        if args.method not in (method, "all"):
+            continue
+        value = closed_count(tau, args.n, method)
+        if value is not None:
+            values.append(value)
+        elif args.method == method:
+            _fail(3, f"no {what} for pattern {args.pattern!r}")
+    if args.method == "all":
         verdict = "AGREE" if len(set(values)) == 1 else "DISAGREE"
         print(" ".join(str(v) for v in values), verdict)
         if verdict == "DISAGREE":
@@ -208,9 +124,9 @@ def cmd_count(cfg):
 # avoid
 # =========================================================================
 
-def cmd_avoid(cfg):
-    sigma = _parse_pattern(cfg.sigma)
-    tau = _parse_pattern(cfg.tau)
+def cmd_avoid(args):
+    sigma = _parse_pattern(args.sigma)
+    tau = _parse_pattern(args.tau)
     witness = containment_witness(sigma, tau)
     if witness is None:
         print("AVOIDS")
@@ -275,6 +191,8 @@ def _verify_phi_a(k, n, seed):
 
 
 def _verify_two_block(k, n, seed):
+    if n <= k:  # the gamma witness has the element k + 1
+        _fail(2, f"need --n > --k for two_block, got n={n}, k={k}")
     beta = single_block_pattern(k)
     src, _ = _sample([p for p in iter_partitions(n) if contains(p, beta)], seed)
     for sigma in iter_partitions(k):
@@ -349,6 +267,8 @@ def _verify_rgf_R(k, n, seed):
 
 
 def _verify_core(k, n, seed):
+    if n < 2:  # the core starts at the doubleton 12
+        _fail(2, f"need --n >= 2 for core_14_23, got n={n}")
     core = {c.partition for c in generate_14_23_core(n)}
     oracle = {p for p in iter_avoiders(n, SetPartition.parse("14/23"))
               if not p.singletons()}
@@ -385,14 +305,14 @@ VERIFY = {
 }
 
 
-def cmd_verify(cfg):
-    name = cfg.map
+def cmd_verify(args):
+    name = args.map
     check, dflt_k, dflt_n = VERIFY[name]
-    k = dflt_k if cfg.k is None else cfg.k
-    n = dflt_n if cfg.n is None else cfg.n
+    k = dflt_k if args.k is None else args.k
+    n = dflt_n if args.n is None else args.n
     if n < 1 or (k is not None and k < 2):
         _fail(2, f"need --n >= 1 and --k >= 2, got n={n}, k={k}")
-    problem = check(k, n, cfg.seed)
+    problem = check(k, n, args.seed)
     if problem:
         print(f"fail: {name}: {problem}")
         raise SystemExit(5)
@@ -405,11 +325,11 @@ def cmd_verify(cfg):
 # table / classes
 # =========================================================================
 
-def cmd_table(cfg):
-    if cfg.k < 2 or cfg.n_max <= cfg.k:
+def cmd_table(args):
+    if args.k < 2 or args.n_max <= args.k:
         _fail(2, "need --k >= 2 and --n-max > --k")
-    table = build_table(cfg.k, cfg.n_max, shards=cfg.shards)
-    if cfg.fmt == "json":
+    table = build_table(args.k, args.n_max, shards=args.shards)
+    if args.fmt == "json":
         print(json.dumps({"k": table.k, "n_max": table.n_max,
                           "rows": {t: list(r) for t, r in sorted(table.rows.items())}},
                          indent=2))
@@ -418,12 +338,12 @@ def cmd_table(cfg):
     return 0
 
 
-def cmd_classes(cfg):
-    if cfg.k < 2 or cfg.n_max <= cfg.k:
+def cmd_classes(args):
+    if args.k < 2 or args.n_max <= args.k:
         _fail(2, "need --k >= 2 and --n-max > --k")
-    table = build_table(cfg.k, cfg.n_max, shards=cfg.shards)
+    table = build_table(args.k, args.n_max, shards=args.shards)
     report = wilf_classes(table)
-    if cfg.fmt == "csv":
+    if args.fmt == "csv":
         lines = ["class,pattern,status"]
         for idx, cls in enumerate(report.classes):
             for m in cls["members"]:
@@ -451,16 +371,19 @@ def _build_parser():
     p.add_argument("--method", choices=["oracle", "formula", "gf", "all"],
                    default="oracle")
     p.add_argument("--shards", type=int, default=None)
+    p.set_defaults(run=cmd_count)
 
     p = sub.add_parser("avoid", help="containment verdict")
     p.add_argument("--sigma", required=True, help="host partition text")
     p.add_argument("--tau", required=True, help="pattern text")
+    p.set_defaults(run=cmd_avoid)
 
     p = sub.add_parser("verify", help="run a map's property suite")
     p.add_argument("--map", required=True, choices=sorted(VERIFY))
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
+    p.set_defaults(run=cmd_verify)
 
     p = sub.add_parser("table", help="avoider table over all patterns of [k]")
     p.add_argument("--k", type=int, required=True)
@@ -468,6 +391,7 @@ def _build_parser():
     p.add_argument("--format", choices=["csv", "json"], default="csv",
                    dest="fmt")
     p.add_argument("--shards", type=int, default=None)
+    p.set_defaults(run=cmd_table)
 
     p = sub.add_parser("classes", help="empirical Wilf classes")
     p.add_argument("--k", type=int, required=True)
@@ -475,6 +399,7 @@ def _build_parser():
     p.add_argument("--format", choices=["csv", "json"], default="json",
                    dest="fmt")
     p.add_argument("--shards", type=int, default=None)
+    p.set_defaults(run=cmd_classes)
     return top
 
 
@@ -502,23 +427,14 @@ def main(argv=None):
 
 
 def _dispatch(args):
-    cmd = args.subcommand
     shards = getattr(args, "shards", 1)  # avoid and verify take no shards
     if shards is None:
-        shards = _default_shards()
+        args.shards = _default_shards()
     elif shards < 1:
         _fail(2, f"need --shards >= 1, got {shards}")
-    if cmd == "count":
-        return cmd_count(CliConfig("count", pattern=args.pattern, n=args.n,
-                                   shards=shards, method=args.method))
-    if cmd == "avoid":
-        return cmd_avoid(CliConfig("avoid", sigma=args.sigma, tau=args.tau))
-    if cmd == "verify":
-        return cmd_verify(CliConfig("verify", map=args.map, k=args.k,
-                                    n=args.n, seed=args.seed))
-    n_max = args.n_max if args.n_max is not None else default_horizon(args.k)
-    cfg = CliConfig(cmd, k=args.k, n_max=n_max, shards=shards, fmt=args.fmt)
-    return cmd_table(cfg) if cmd == "table" else cmd_classes(cfg)
+    if getattr(args, "n_max", 0) is None:  # table and classes
+        args.n_max = default_horizon(args.k)
+    return args.run(args)
 
 
 if __name__ == "__main__":

@@ -10,6 +10,8 @@
 #  Products convolve integer numerators over one common denominator, so
 #  the inner loops do int arithmetic; sqrt is the O(N^2) coefficient
 #  recurrence.
+#  This module also owns the map from a pattern to the closed forms that
+#  count it, complements included: closed_count is the one lookup.
 #
 ###############################################################################
 
@@ -315,12 +317,12 @@ def count_134_2(n):
     return total
 
 
-def count_12_3_4(n, m=4):
-    """Avoiders of 12/3/4: at most m-2 = 2 blocks after the first k elements
+def count_12_3_4(n):
+    """Avoiders of 12/3/4: at most 2 blocks after the first k elements
     are chained, summed over how the chain head distributes."""
     total = 1
     for k in range(1, n):
-        for j in range(1, m - 1):
+        for j in range(1, 3):
             inner = sum(comb(j - 1, i - 1) * falling(k, i) for i in range(1, j + 1))
             total += stirling2(n - k, j) * inner
     return total
@@ -431,6 +433,52 @@ def egf_crosscheck_sigma_k(N, k):
     return [int(c * factorial(n)) for n, c in enumerate(series.coeffs)]
 
 
+# =========================================================================
+# which closed form counts which pattern
+# =========================================================================
+
+# method -> the beta_k and sigma_k families, each (n, k) -> count, and the
+# patterns of [4] with a closed form of their own, each n -> count.  Every
+# entry looks its function up by name at call time, so a wrapper rebound
+# over a module global later (as the benchmark's tracer does) is called.
+_CLOSED_FORMS = {
+    "formula": {
+        "beta_k": lambda n, k: count_beta_k(n, k),
+        "sigma_k": lambda n, k: count_sigma_k(n, k),
+        "12/3/4": lambda n: count_12_3_4(n),
+        "12/34": lambda n: count_12_34(n),
+        "1/234": lambda n: count_1_234(n),
+        "134/2": lambda n: count_134_2(n),
+    },
+    "gf": {
+        "beta_k": lambda n, k: egf_crosscheck_beta_k(n, k)[n],
+        "sigma_k": lambda n, k: egf_crosscheck_sigma_k(n, k)[n],
+        "14/2/3": lambda n: gf_coeffs_14_2_3(n)[n],
+        "1/24/3": lambda n: gf_coeffs_1_24_3(n)[n],
+        "14/23": lambda n: gf_coeffs_14_23(n)[n],
+        "13/24": lambda n: gf_coeffs_13_24(n)[n],
+    },
+}
+
+
+def closed_count(tau, n, method):
+    """The number of partitions of [n] that avoid tau, by method "formula"
+    (a closed sum) or "gf" (a series coefficient), or None when that method
+    covers neither tau nor its complement, which has the same counts."""
+    forms = _CLOSED_FORMS[method]
+    k = tau.n
+    if k < 2:
+        return None
+    if len(tau.blocks) == 1:
+        return forms["beta_k"](n, k)
+    if len(tau.blocks) == k:
+        return forms["sigma_k"](n, k)
+    for text in (str(tau), str(tau.complement())):
+        if text in forms:
+            return forms[text](n)
+    return None
+
+
 __all__ = [
     "BivariateSeries",
     "ComposeNonzeroConstant",
@@ -440,6 +488,7 @@ __all__ = [
     "PowerSeries",
     "SeriesError",
     "SqrtNonUnit",
+    "closed_count",
     "core_gf_14_23",
     "count_12_34",
     "count_12_3_4",

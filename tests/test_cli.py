@@ -4,7 +4,10 @@ import sys
 
 import pytest
 
-from partavoid.cli import main
+from conftest import K4_COMPLEMENTS, K4_ROWS, K5_ROWS
+from partavoid.avoidance import avoider_counts
+from partavoid.cli import VERIFY, main
+from partavoid.core import iter_partitions
 
 
 def run(capsys, *argv):
@@ -18,6 +21,15 @@ def run_fail(capsys, *argv):
         main(list(argv))
     out, err = capsys.readouterr()
     return exc.value.code, out, err
+
+
+def run_any(capsys, *argv):
+    try:
+        rc = main(list(argv))
+    except SystemExit as exc:
+        rc = exc.code
+    out, err = capsys.readouterr()
+    return rc, out, err
 
 
 # =========================================================================
@@ -111,6 +123,37 @@ def test_count_formula_through_stirling2_far_past_the_oracle(capsys, pattern):
     assert out.strip().isdigit() and len(out.strip()) > 150
 
 
+# which patterns of [k] each closed-form method counts, complements included
+CLOSED_COVERAGE = {
+    ("formula", 4): {"1234", "1/2/3/4", "12/3/4", "1/2/34", "12/34", "1/234",
+                     "123/4", "134/2", "124/3"},
+    ("gf", 4): {"1234", "1/2/3/4", "14/2/3", "1/24/3", "13/2/4", "14/23",
+                "13/24"},
+}
+
+
+@pytest.mark.parametrize("method", ["formula", "gf"])
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_closed_form_coverage_pinned(capsys, k, method):
+    # a covered pattern prints the frozen row (the oracle's where none is
+    # frozen) at every n; any other pattern exits 3
+    frozen = {**K5_ROWS, **K4_ROWS,
+              **{c: K4_ROWS[t] for c, t in K4_COMPLEMENTS.items()}}
+    covered = set()
+    for tau in iter_partitions(k):
+        row = frozen.get(str(tau)) or avoider_counts(8, tau)[1:]
+        for n, want in enumerate(row, start=1):
+            rc, out, err = run_any(capsys, "count", "--pattern", str(tau),
+                                   "--n", str(n), "--method", method)
+            if rc == 3:
+                assert out == "" and err.startswith("error: no ")
+            else:
+                assert rc == 0 and out == f"{want}\n"
+                covered.add(str(tau))
+    families = {str(tau) for tau in iter_partitions(k) if len(tau.blocks) in (1, k)}
+    assert covered == CLOSED_COVERAGE.get((method, k), families)
+
+
 # =========================================================================
 # avoid
 # =========================================================================
@@ -181,6 +224,22 @@ def test_verify_zero_is_out_of_range(capsys, name, flags):
     rc, out, err = run_fail(capsys, "verify", "--map", name, *flags)
     assert rc == 2 and out == ""
     assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("name", sorted(VERIFY))
+def test_verify_exit_codes_on_small_ranges(capsys, name):
+    # every small --n and --k ends in a documented exit code, never a
+    # traceback; out-of-range values exit 2 with one error line
+    for n in range(5):
+        for k in [None, *range(7)]:
+            argv = ["verify", "--map", name, "--n", str(n)]
+            if k is not None:
+                argv += ["--k", str(k)]
+            rc, out, err = run_any(capsys, *argv)
+            assert rc in (0, 2, 3, 4, 5), argv
+            if rc == 2:
+                assert out == "" and err.startswith("error:"), argv
+                assert len(err.splitlines()) == 1, argv
 
 
 # =========================================================================
