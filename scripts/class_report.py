@@ -15,13 +15,12 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--k", type=int, default=4)
     ap.add_argument("--n-max", type=int, default=None)
-    ap.add_argument("--shards", type=int, default=1)
     ap.add_argument("--json", metavar="PATH", default=None,
                     help="also dump the full report as JSON")
     args = ap.parse_args()
 
     n_max = args.n_max or default_horizon(args.k)
-    table = build_table(args.k, n_max, shards=args.shards)
+    table = build_table(args.k, n_max)
     rep = wilf_classes(table)
 
     print(f"k={args.k}, n up to {n_max}: {len(rep.classes)} classes")

@@ -1,6 +1,6 @@
 """Exact combinatorics of set-partition pattern avoidance.
 
-Containment testing in Klazar's subset sense, a sharded brute-force counting
+Containment testing in Klazar's subset sense, a pruned brute-force counting
 oracle, executable bijections and injections between avoidance classes, exact
 generating-function coefficient extraction, and Wilf-equivalence tables.
 """
@@ -32,7 +32,6 @@ from .core import (
     stirling2,
 )
 from .avoidance import (
-    AvoidanceQuery,
     avoider_counts,
     avoids,
     block_contains_beta,

@@ -5,8 +5,9 @@
 #  has the pruned containment search (the point query), a deliberately naive
 #  all-subsets checker kept as the test oracle, RGF-word containment for
 #  contrast, the block-level criterion for the patterns 1..(a-1)(a+1)..k/a,
-#  and the brute-force walk over the RGF prefix tree, which both counts the
-#  avoiders (avoider_counts) and lists them (iter_avoiders).  The walk never
+#  and the brute-force walk over the RGF prefix tree, one pass from the root
+#  that both counts the avoiders of every [d], d <= n (avoider_counts) and,
+#  in its recursive form, lists them (iter_avoiders).  The walk never
 #  searches a prefix from scratch: each node carries its set of partial
 #  embeddings of the pattern, a map from pattern blocks to host blocks with
 #  the number of pattern elements placed, and updates it as each element is
@@ -15,7 +16,6 @@
 #
 ###############################################################################
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
@@ -201,17 +201,6 @@ def block_contains_beta_ambient(block, k, a, n):
 # brute-force counting over the RGF prefix tree
 # =========================================================================
 
-@dataclass(frozen=True)
-class AvoidanceQuery:
-    """One counting job: how many partitions of [n] avoid the pattern."""
-
-    pattern: SetPartition
-    n: int
-
-    def count(self, shards=1):
-        return count_avoiders(self.n, self.pattern, shards)
-
-
 def _placer(k, pb):
     """The walk's transition for a pattern of [k] with block index pb.
 
@@ -253,89 +242,56 @@ def _placer(k, pb):
     return place
 
 
-def _walk_unit(n, k, pb, unit):
-    """Per-depth avoider counts for the subtree under one RGF prefix.
-
-    Each node's states are updated by the shared transition of _placer.
-    States that can no longer reach k within the n - s elements left are
-    dropped, and the children of a node at depth n - 1 are counted from its
-    states directly.
-    """
-    nxt = pb[1:]
-    last = k - 1
-    counts = [0] * (n + 1)
-    place = _placer(k, pb)
-
-    def leaves(nb, states):
-        # children of a depth n - 1 node that still avoid the pattern: the
-        # states one element short each rule out one block or all blocks
-        # outside their map
-        alive = set(range(nb + 1))
-        t = nxt[last]
-        for m, j in states.items():
-            if j == last:
-                if t < len(m):
-                    alive.discard(m[t])
-                else:
-                    alive.intersection_update(m)
-        return len(alive)
-
-    def rec(s, nb, states):
-        if s == n:
-            counts[s] += leaves(nb, states)
-            return
-        need = k - (n - s)
-        for bi in range(nb + 1):
-            child = place(states, bi, need)
-            if child is not None:
-                counts[s] += 1
-                rec(s + 1, nb + (bi == nb), child)
-
-    states = {(): 0}
-    for s, letter in enumerate(unit, start=1):
-        states = place(states, letter - 1, k - (n - s))
-        if states is None:
-            return counts  # the whole subtree contains the pattern
-    counts[len(unit)] += 1
-    if len(unit) < n:
-        rec(len(unit) + 1, max(unit), states)
-    return counts
-
-
-def _shard_units(n):
-    # work units are the two-letter RGF prefixes (just "1" when n = 1)
-    if n == 1:
-        return [(1,)]
-    return [(1, 1), (1, 2)]
-
-
 def avoider_counts(n, tau, shards=1):
-    """List c with c[d] = |Pi_d(tau)| for 1 <= d <= n, from one shardable walk.
+    """List c with c[d] = |Pi_d(tau)| for 1 <= d <= n, from one walk.
 
-    A prefix that contains the pattern is pruned with its whole subtree;
-    every surviving node of depth d is one avoider of [d].  The shards split
-    the work units into lanes that run one after another, so the counts do
-    not depend on the shard count.
+    The walk goes once from the root of the RGF prefix tree, depth first,
+    keeping its pending nodes on an explicit stack, so no recursion limit
+    bounds n.  Each node's states are updated by the transition of _placer;
+    a prefix that contains the pattern is pruned with its whole subtree,
+    and every surviving node of depth d is one avoider of [d].  States that
+    can no longer reach k within the elements left are dropped, and the
+    children of a node at depth n - 1 are counted from its states directly.
+    shards is checked (it must be positive) but does not split the work:
+    the walk and its counts are the same for every value.
     """
     if n < 1:
         raise ValueError("n must be positive")
     if shards < 1:
         raise ValueError("shards must be positive")
     tau, k, pb = _pattern_data(tau)
-    units = _shard_units(n)
-    lanes = [units[w::shards] for w in range(min(shards, len(units)))]
+    nxt = pb[1:]
+    last = k - 1
+    place = _placer(k, pb)
     counts = [0] * (n + 1)
-    for lane in lanes:
-        for unit in lane:
-            for d, c in enumerate(_walk_unit(n, k, pb, unit)):
-                counts[d] += c
-    if n >= 2:
-        counts[1] = 0 if k == 1 else 1  # the root node is shared by both units
+    stack = [(1, 0, {(): 0})]  # (element to add, blocks so far, states)
+    while stack:
+        s, nb, states = stack.pop()
+        if s == n:
+            # children of a depth n - 1 node that still avoid the pattern:
+            # the states one element short each rule out one block or all
+            # blocks outside their map
+            alive = set(range(nb + 1))
+            t = nxt[last]
+            for m, j in states.items():
+                if j == last:
+                    if t < len(m):
+                        alive.discard(m[t])
+                    else:
+                        alive.intersection_update(m)
+            counts[n] += len(alive)
+            continue
+        need = k - (n - s)
+        for bi in range(nb + 1):
+            child = place(states, bi, need)
+            if child is not None:
+                counts[s] += 1
+                stack.append((s + 1, nb + (bi == nb), child))
     return counts
 
 
 def count_avoiders(n, tau, shards=1):
-    """Exact |Pi_n(tau)|; deterministic and independent of shard count."""
+    """Exact |Pi_n(tau)|; shards is checked as in avoider_counts."""
     return avoider_counts(n, tau, shards)[n]
 
 
@@ -373,7 +329,6 @@ def iter_avoiders(n, tau):
 
 
 __all__ = [
-    "AvoidanceQuery",
     "avoids",
     "avoider_counts",
     "block_contains_beta",

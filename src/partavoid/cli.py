@@ -127,7 +127,10 @@ def cmd_count(args):
 def cmd_avoid(args):
     sigma = _parse_pattern(args.sigma)
     tau = _parse_pattern(args.tau)
-    witness = containment_witness(sigma, tau)
+    try:
+        witness = containment_witness(sigma, tau)
+    except RecursionError:  # the search recurses once per pattern element
+        _fail(2, f"pattern of {tau.n} elements is too long for the containment search")
     if witness is None:
         print("AVOIDS")
     else:

@@ -3,7 +3,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from partavoid.avoidance import (
-    AvoidanceQuery,
     avoider_counts,
     avoids,
     block_contains_beta,
@@ -136,7 +135,8 @@ def test_oracle_matches_naive_filter():
 
 
 def test_walk_matches_bruteforce_filter():
-    # both uses of the walk, the counts and the listing (order included)
+    # both uses of the walk, the counts and the listing (order included);
+    # the walk to depth n agrees with the walk to depth 7 at every depth
     for k in range(1, 5):
         for tau in iter_partitions(k):
             counts = avoider_counts(7, tau)
@@ -144,6 +144,7 @@ def test_walk_matches_bruteforce_filter():
                 naive = [p for p in iter_partitions(n)
                          if not contains_bruteforce(p, tau)]
                 assert counts[n] == len(naive), (tau, n)
+                assert avoider_counts(n, tau) == counts[:n + 1], (tau, n)
                 assert list(iter_avoiders(n, tau)) == naive, (tau, n)
 
 
@@ -184,12 +185,6 @@ def test_shard_determinism():
     expect = K4_ROWS["1/24/3"][8]
     for shards in (1, 2, 8):
         assert count_avoiders(9, tau, shards=shards) == expect
-
-
-def test_avoidance_query():
-    q = AvoidanceQuery(pattern=P("13/24"), n=7)
-    assert q.count() == 429
-    assert q.count(shards=2) == 429
 
 
 def test_k5_rows_frozen():

@@ -123,6 +123,13 @@ def test_count_formula_through_stirling2_far_past_the_oracle(capsys, pattern):
     assert out.strip().isdigit() and len(out.strip()) > 150
 
 
+def test_count_oracle_far_past_the_recursion_limit(capsys):
+    # the walk keeps its pending nodes on a stack, not one frame per element
+    rc, out, err = run(capsys, "count", "--pattern", "1/2", "--n", "3000",
+                       "--method", "oracle")
+    assert rc == 0 and out.strip() == "1" and err == ""
+
+
 # which patterns of [k] each closed-form method counts, complements included
 CLOSED_COVERAGE = {
     ("formula", 4): {"1234", "1/2/3/4", "12/3/4", "1/2/34", "12/34", "1/234",
@@ -173,6 +180,16 @@ def test_avoid_avoids(capsys):
 def test_avoid_bad_input(capsys):
     rc, _, err = run_fail(capsys, "avoid", "--sigma", "1/1", "--tau", "12")
     assert rc == 2 and "error:" in err
+
+
+def test_avoid_pattern_too_deep_for_the_search_exits_2(capsys):
+    # the containment search recurses once per pattern element
+    sigma = " ".join(map(str, range(1, 1501)))
+    tau = " ".join(map(str, range(1, 1201)))
+    rc, out, err = run_fail(capsys, "avoid", "--sigma", sigma, "--tau", tau)
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
 
 
 # =========================================================================
