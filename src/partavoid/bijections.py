@@ -148,6 +148,10 @@ class RWord(tuple):
         obj.k = k
         return obj
 
+    def __reduce__(self):
+        # tuple's own pickling would call __new__ without k
+        return (type(self), (tuple(self), self.k))
+
     def __str__(self):
         if max(self) <= 9:
             return "".join(str(x) for x in self)

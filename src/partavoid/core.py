@@ -57,6 +57,11 @@ class SetPartition:
     def __setattr__(self, name, value):
         raise AttributeError("SetPartition is immutable")
 
+    def __reduce__(self):
+        # pickle and copy rebuild through the constructor, since the default
+        # slot-by-slot restore would go through __setattr__
+        return (type(self), (self.blocks, self.n))
+
     @classmethod
     def from_blocks(cls, blocks, n):
         """Validated constructor: blocks must partition {1..n} exactly."""
@@ -68,7 +73,7 @@ class SetPartition:
             if seen & b:
                 raise OverlappingBlocks(f"elements repeated across blocks: {sorted(seen & b)}")
             seen |= b
-        if seen != set(range(1, n + 1)):
+        if len(seen) != n or seen != set(range(1, n + 1)):
             raise NotACover(f"blocks cover {sorted(seen)}, expected 1..{n}")
         return cls(blocks, n)
 

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -316,6 +319,16 @@ def test_rword_validation():
     with pytest.raises(InvalidRWord):
         RWord((1, 3), 4)
     assert tuple(RWord((1, 2, 1, 3), 4)) == (1, 2, 1, 3)
+
+
+def test_rword_pickle_and_copy_round_trip():
+    for k in (2, 3, 5):
+        for w in iter_r_words(4, k):
+            copies = [pickle.loads(pickle.dumps(w, proto))
+                      for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
+            for v in copies + [copy.copy(w), copy.deepcopy(w)]:
+                assert type(v) is RWord and v == w and v.k == w.k == k
+                assert R_to_rgf(v) == R_to_rgf(w)
 
 
 def test_rgf_R_bijection_small():

@@ -1,13 +1,16 @@
 import io
 import json
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import K4_COMPLEMENTS, K4_ROWS, K5_ROWS
 from partavoid.avoidance import avoider_counts
 from partavoid.cli import VERIFY, main
-from partavoid.core import iter_partitions
+from partavoid.core import SetPartition, iter_partitions
 
 
 def run(capsys, *argv):
@@ -316,3 +319,79 @@ def test_broken_pipe_exits_2_without_traceback(capsys, monkeypatch):
     _, err = capsys.readouterr()
     assert exc.value.code == 2
     assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+# =========================================================================
+# argv fuzzing: every input ends in a documented exit code
+# =========================================================================
+
+def _rgf(size):
+    def fold(xs):
+        word = [1]
+        for x in xs:
+            word.append(1 + x % (max(word) + 1))
+        return str(SetPartition.from_rgf(word))
+    return st.lists(st.integers(0, 9), max_size=size - 1).map(fold)
+
+
+# junk stays at most six characters, so no text names a ground set past 10^6
+_junk = st.text(alphabet="0123456789/ ,-x", max_size=6)
+
+
+def _rare(common, odd):
+    """Mostly common, one draw in eight from odd."""
+    return st.integers(0, 7).flatmap(lambda r: odd if r == 5 else common)
+
+
+def _ints(lo, hi):
+    return _rare(st.integers(lo, hi).map(str),
+                 st.sampled_from(["-1", "0", "", "x", "1.5", " 3"]))
+
+
+@st.composite
+def _argv(draw):
+    sub = draw(_rare(st.sampled_from(["count", "avoid", "table", "classes", "verify"]),
+                     st.just("junk")))
+    opts = []
+    if sub == "count":
+        opts = [("--pattern", draw(_rare(_rgf(5), _junk))), ("--n", draw(_ints(1, 8))),
+                ("--method", draw(_rare(st.sampled_from(["oracle", "formula", "gf", "all"]),
+                                        st.just("egf")))),
+                ("--shards", draw(_ints(1, 3)))]
+    elif sub == "avoid":
+        opts = [("--sigma", draw(_rare(_rgf(8), _junk))),
+                ("--tau", draw(_rare(_rgf(5), _junk)))]
+    elif sub in ("table", "classes"):
+        k = draw(st.integers(1, 5))
+        # no --n-max means the default horizon, past n = 8 from k = 4 on
+        n_max = draw(_ints(k + 1, 8) if k >= 4 else _rare(_ints(k + 1, 8), st.none()))
+        opts = [("--k", str(k)), ("--n-max", n_max),
+                ("--format", draw(_rare(st.sampled_from(["csv", "json"]), st.just("xml")))),
+                ("--shards", draw(_ints(1, 3)))]
+    elif sub == "verify":
+        opts = [("--map", draw(_rare(st.sampled_from(sorted(VERIFY)), st.just("nope")))),
+                ("--k", draw(_ints(2, 5))), ("--n", draw(_ints(1, 8))),
+                ("--seed", draw(_ints(-3, 3)))]
+    argv = [sub]
+    for flag, value in opts:
+        # any flag but --n-max goes missing now and then; --n-max is left out
+        # above, and only where the default horizon is cheap
+        if value is not None and (flag == "--n-max" or draw(st.integers(0, 15)) != 9):
+            argv += [flag, value]
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(_argv())
+def test_argv_fuzz_exit_codes(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    err = err.getvalue()
+    assert rc in (0, 2, 3, 4, 5), argv
+    assert "Traceback" not in err, argv
+    if rc in (2, 3):
+        assert "error:" in err, argv

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from functools import lru_cache
 
 import pytest
@@ -61,6 +63,15 @@ def test_validation_errors():
         RGFWord.parse("13")
     with pytest.raises(InvalidRGF):
         RGFWord.parse("2")
+
+
+def test_cover_check_is_bounded_by_the_blocks():
+    # "1/999999999999" parses as two singletons of a huge ground set; the
+    # check must fail on the element count, not by building the set 1..n
+    with pytest.raises(NotACover):
+        SetPartition.from_blocks([[1], [10 ** 12]], 10 ** 12)
+    with pytest.raises(NotACover):
+        SetPartition.parse("1/999999999999")
 
 
 def test_parse_forms():
@@ -181,3 +192,32 @@ def test_immutability():
     p = SetPartition.parse("12/3")
     with pytest.raises(AttributeError):
         p.n = 7
+
+
+def _copies(x):
+    for proto in range(pickle.HIGHEST_PROTOCOL + 1):
+        yield pickle.loads(pickle.dumps(x, proto))
+    yield copy.copy(x)
+    yield copy.deepcopy(x)
+
+
+def test_pickle_and_copy_round_trip():
+    cases = [SetPartition.parse("13/24"), Matching([[1, 3], [2]], 3),
+             Matching([], 0), RGFWord.parse("1213"), Composition([0, 2, 1])]
+    for x in cases:
+        for y in _copies(x):
+            assert y == x and type(y) is type(x)
+    for y in _copies(Matching([[1, 4], [2], [3, 5]], 5)):
+        assert (y.k, y.f) == (2, 1)
+        with pytest.raises(AttributeError):
+            y.n = 7
+
+
+@given(rgf_words)
+def test_pickle_round_trip_over_rgf_words(word):
+    w = RGFWord(word)
+    p = SetPartition.from_rgf(w)
+    for x in (w, p):
+        for y in _copies(x):
+            assert y == x and type(y) is type(x)
+            assert hash(y) == hash(x)

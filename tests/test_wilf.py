@@ -2,7 +2,9 @@ import json
 
 import pytest
 
-from partavoid.core import SetPartition
+from partavoid import wilf
+from partavoid.avoidance import avoider_counts
+from partavoid.core import SetPartition, iter_partitions
 from partavoid.wilf import (
     build_table,
     check_beta_threshold,
@@ -51,6 +53,49 @@ def test_table_csv(table4):
         pat, n, count = line.split(",")
         assert int(n) in range(5, 9)
         assert int(count) > 0
+
+
+# build_table walks one member of each complement pair, so complementation
+# holds in its rows by construction; these walk every pattern on its own
+WALK_N = {3: 7, 4: 10, 5: 8}
+
+
+@pytest.fixture(scope="module")
+def own_walks():
+    return {k: {str(tau): avoider_counts(n, tau) for tau in iter_partitions(k)}
+            for k, n in WALK_N.items()}
+
+
+def test_complement_pairs_count_alike_when_walked_apart(own_walks):
+    for k in (4, 5):
+        walks = own_walks[k]
+        for pat, counts in walks.items():
+            assert counts == walks[str(P(pat).complement())], pat
+
+
+def test_table_rows_land_on_their_own_patterns(own_walks):
+    for k, n_max in WALK_N.items():
+        table = build_table(k, n_max)
+        assert sorted(table.rows) == sorted(own_walks[k])
+        for pat, counts in own_walks[k].items():
+            assert table.row(pat) == tuple(counts[k + 1:n_max + 1]), pat
+
+
+def test_one_walk_per_complement_class(monkeypatch):
+    walked = []
+
+    def counting(n, tau, shards=1):
+        walked.append(tau)
+        return avoider_counts(n, tau, shards=shards)
+
+    monkeypatch.setattr(wilf, "avoider_counts", counting)
+    for k, classes in ((3, 4), (4, 11), (5, 32)):
+        walked.clear()
+        build_table(k, k + 1)
+        cheaper = {min(t, t.complement(), key=SetPartition.to_rgf)
+                   for t in iter_partitions(k)}
+        assert len(walked) == classes
+        assert set(walked) == cheaper
 
 
 def test_shard_determinism():
