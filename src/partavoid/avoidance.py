@@ -7,12 +7,12 @@
 #  contrast, the block-level criterion for the patterns 1..(a-1)(a+1)..k/a,
 #  and the brute-force walk over the RGF prefix tree, one pass from the root
 #  that both counts the avoiders of every [d], d <= n (avoider_counts) and,
-#  in its recursive form, lists them (iter_avoiders).  The walk never
-#  searches a prefix from scratch: each node carries its set of partial
-#  embeddings of the pattern, a map from pattern blocks to host blocks with
-#  the number of pattern elements placed, and updates it as each element is
-#  added.  Later elements exceed the whole prefix, so positions never matter
-#  and, for one map, more elements placed dominates fewer.
+#  keeping the blocks of the prefix it is at, lists them (iter_avoiders).
+#  The walk never searches a prefix from scratch: each node carries its set
+#  of partial embeddings of the pattern, a map from pattern blocks to host
+#  blocks with the number of pattern elements placed, and updates it as each
+#  element is added.  Later elements exceed the whole prefix, so positions
+#  never matter and, for one map, more elements placed dominates fewer.
 #
 ###############################################################################
 
@@ -298,34 +298,39 @@ def count_avoiders(n, tau, shards=1):
 def iter_avoiders(n, tau):
     """Every partition of [n] that avoids tau, in lexicographic RGF order.
 
-    The pruned walk of avoider_counts, keeping the blocks of each surviving
-    node as it goes: a prefix that contains the pattern is cut with its
-    whole subtree, so no partition is searched from scratch.
+    The pruned walk of avoider_counts, keeping the blocks of the current
+    prefix as it goes: a prefix that contains the pattern is cut with its
+    whole subtree, so no partition is searched from scratch.  Pending nodes
+    wait on an explicit stack, children pushed last to first so that they
+    come off in RGF order, and no recursion limit bounds n.
     """
+    if n < 1:
+        return
     tau, k, pb = _pattern_data(tau)
     place = _placer(k, pb)
     blocks = []
-
-    def rec(s, states):
-        # children of the avoider of [s - 1] held in blocks, element s added
-        need = k - (n - s)
-        for bi in range(len(blocks) + 1):
-            child = place(states, bi, need)
-            if child is None:
-                continue
-            if bi == len(blocks):
-                blocks.append([])
-            blocks[bi].append(s)
-            if s == n:
-                yield SetPartition(blocks, n)
-            else:
-                yield from rec(s + 1, child)
-            blocks[bi].pop()
-            if not blocks[bi]:
+    path = []  # the block of each element of the prefix in blocks
+    first = place({(): 0}, 0, k - n + 1)
+    stack = [] if first is None else [(1, 0, first)]  # (element, its block, states)
+    while stack:
+        s, bi, states = stack.pop()
+        while len(path) >= s:  # back up to the parent's prefix, [s - 1]
+            b = path.pop()
+            blocks[b].pop()
+            if not blocks[b]:
                 blocks.pop()
-
-    if n >= 1:
-        yield from rec(1, {(): 0})
+        if bi == len(blocks):
+            blocks.append([])
+        blocks[bi].append(s)
+        path.append(bi)
+        if s == n:
+            yield SetPartition(blocks, n)
+            continue
+        need = k - (n - s - 1)
+        for b in range(len(blocks), -1, -1):
+            child = place(states, b, need)
+            if child is not None:
+                stack.append((s + 1, b, child))
 
 
 __all__ = [

@@ -11,7 +11,8 @@
 #  * lemma_induction_psi: the combinator lifting an injection family for a
 #    pattern alpha to one for 1/alpha-shifted.
 #  * encode/decode_14_2_3 and encode/decode_1_24_3: growth-word encodings
-#    over the alphabet {a, b, c}.
+#    over the alphabet {a, b, c}, two settings of one codec that differ only
+#    in the block the letter c extends.
 #  * rgf_to_R / R_to_rgf and delta_insertion_encode: the word-level halves of
 #    the chain doubleton-span < all-singletons < single-block.
 #  * generate_14_23_core: the singleton-free 14/23 avoiders, built by the
@@ -22,13 +23,14 @@
 ###############################################################################
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, product
 
 from .core import (
     Composition,
     Matching,
     RGFWord,
     SetPartition,
+    components,
     single_block_pattern,
     singletons_pattern,
     spanning_doubleton_pattern,
@@ -368,23 +370,11 @@ def two_block_varphi_inverse(rho, sigma):
         raise PreconditionViolated("input must contain the two-block pattern")
     if contains(rho, single_block_pattern(k)):
         return rho  # the fixed-point case
-    blocks = [list(b) for b in rho.blocks]
-    parent = list(range(len(blocks)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i in range(len(blocks)):
-        for j in range(i + 1, len(blocks)):
-            if contains(standardize([blocks[i], blocks[j]]), sigma):
-                parent[find(i)] = find(j)
-    merged = {}
-    for i, b in enumerate(blocks):
-        merged.setdefault(find(i), []).extend(b)
-    return SetPartition(list(merged.values()), rho.n)
+    blocks = rho.blocks
+    pairs = ((i, j) for i, j in combinations(range(len(blocks)), 2)
+             if contains(standardize([blocks[i], blocks[j]]), sigma))
+    merged = components(range(len(blocks)), pairs)
+    return SetPartition([[x for i in c for x in blocks[i]] for c in merged], rho.n)
 
 
 def two_block_gamma(sigma, n):
@@ -496,22 +486,20 @@ def lex_rank_family(alpha, target):
 # growth-word encodings for 14/2/3 and 1/24/3
 # =========================================================================
 
-def encode_14_2_3(w):
-    """a: open a singleton; b: extend the rightmost block; c: extend the
-    second-to-rightmost block."""
+def _encode_growth(w, c_block):
+    """a: open a singleton; b: extend the last block; c: extend the block
+    of index c_block among those opened so far."""
     w = ABCWord(w)
     blocks = []
     for i, ch in enumerate(w, start=1):
         if ch == "a":
             blocks.append([i])
-        elif ch == "b":
-            blocks[-1].append(i)
         else:
-            blocks[-2].append(i)
+            blocks[-1 if ch == "b" else c_block].append(i)
     return SetPartition(blocks, len(w))
 
 
-def decode_14_2_3(pi):
+def _decode_growth(pi, c_block):
     """Replay the growth of pi and read off which rule placed each element."""
     letters = []
     cur = []
@@ -524,46 +512,31 @@ def decode_14_2_3(pi):
         home = next(j for j, b in enumerate(cur) if b[0] == target[0])
         if home == len(cur) - 1:
             letters.append("b")
-        elif home == len(cur) - 2:
+        elif home == c_block % len(cur):
             letters.append("c")
         else:
-            raise NotInImage(f"element {i} extends neither of the last two blocks")
+            raise NotInImage(f"element {i} extends neither the last block "
+                             "nor the one c extends")
         cur[home].append(i)
     return ABCWord("".join(letters))
+
+
+def encode_14_2_3(w):
+    """c extends the second-to-rightmost block."""
+    return _encode_growth(w, -2)
+
+
+def decode_14_2_3(pi):
+    return _decode_growth(pi, -2)
 
 
 def encode_1_24_3(w):
-    """a: open a singleton; b: extend the last block; c: extend the first."""
-    w = ABCWord(w)
-    blocks = []
-    for i, ch in enumerate(w, start=1):
-        if ch == "a":
-            blocks.append([i])
-        elif ch == "b":
-            blocks[-1].append(i)
-        else:
-            blocks[0].append(i)
-    return SetPartition(blocks, len(w))
+    """c extends the first block."""
+    return _encode_growth(w, 0)
 
 
 def decode_1_24_3(pi):
-    letters = []
-    cur = []
-    for i in range(1, pi.n + 1):
-        target = pi.block_of(i)
-        if i == target[0]:
-            letters.append("a")
-            cur.append([i])
-            continue
-        home = next(j for j, b in enumerate(cur) if b[0] == target[0])
-        if home == len(cur) - 1:
-            letters.append("b")
-        elif home == 0:
-            letters.append("c")
-        else:
-            raise NotInImage(f"element {i} extends neither the first nor the last block")
-        cur[home].append(i)
-    return ABCWord("".join(letters))
+    return _decode_growth(pi, 0)
 
 
 # =========================================================================

@@ -65,14 +65,7 @@ class SetPartition:
     @classmethod
     def from_blocks(cls, blocks, n):
         """Validated constructor: blocks must partition {1..n} exactly."""
-        seen = set()
-        for b in blocks:
-            b = set(b)
-            if not b:
-                raise EmptyBlock("empty block")
-            if seen & b:
-                raise OverlappingBlocks(f"elements repeated across blocks: {sorted(seen & b)}")
-            seen |= b
+        _, seen = _disjoint_blocks(blocks)
         if len(seen) != n or seen != set(range(1, n + 1)):
             raise NotACover(f"blocks cover {sorted(seen)}, expected 1..{n}")
         return cls(blocks, n)
@@ -173,13 +166,11 @@ class SetPartition:
         return f"SetPartition({self})"
 
 
-def standardize(blocks):
-    """Order-isomorphic relabeling of disjoint blocks onto {1..size}.
-
-    The input may use arbitrary positive integers; {{2,5},{3}} becomes 13/2.
-    """
+def _disjoint_blocks(blocks):
+    """The blocks as sets, and their union; raises EmptyBlock or
+    OverlappingBlocks unless they are nonempty and pairwise disjoint."""
     seen = set()
-    cleaned = []
+    sets = []
     for b in blocks:
         b = set(b)
         if not b:
@@ -187,9 +178,38 @@ def standardize(blocks):
         if seen & b:
             raise OverlappingBlocks(f"elements repeated across blocks: {sorted(seen & b)}")
         seen |= b
-        cleaned.append(b)
+        sets.append(b)
+    return sets, seen
+
+
+def standardize(blocks):
+    """Order-isomorphic relabeling of disjoint blocks onto {1..size}.
+
+    The input may use arbitrary positive integers; {{2,5},{3}} becomes 13/2.
+    """
+    cleaned, seen = _disjoint_blocks(blocks)
     rank = {x: i for i, x in enumerate(sorted(seen), start=1)}
     return SetPartition([[rank[x] for x in b] for b in cleaned], len(seen))
+
+
+def components(items, pairs):
+    """The connected components of the graph on items whose edges are
+    pairs, by union-find; each component keeps the order of items, and
+    the components come in the order of their first members."""
+    parent = {x: x for x in items}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in pairs:
+        parent[find(a)] = find(b)
+    comps = {}
+    for x in parent:
+        comps.setdefault(find(x), []).append(x)
+    return list(comps.values())
 
 
 # =========================================================================
@@ -446,6 +466,7 @@ __all__ = [
     "Matching",
     "Composition",
     "standardize",
+    "components",
     "iter_rgf_words",
     "iter_partitions",
     "iter_matchings",

@@ -9,7 +9,8 @@
 #  all of it through sqrt, composition, and division without rounding.
 #  Products convolve integer numerators over one common denominator, so
 #  the inner loops do int arithmetic; sqrt is the O(N^2) coefficient
-#  recurrence.
+#  recurrence; division is the one long-division routine, over the
+#  divisor's nonzero terms, and the rational series are quotients by it.
 #  This module also owns the map from a pattern to the closed forms that
 #  count it, complements included: closed_count is the one lookup.
 #
@@ -130,12 +131,16 @@ class PowerSeries:
             raise DivByZeroConstant("divisor has zero constant term")
         N = min(self.N, other.N)
         inv0 = Fraction(1) / other.coeffs[0]
-        out = [Fraction(0)] * (N + 1)
+        # h_n = (f_n - sum_{0<j<=n} g_j h_{n-j}) / g_0, over the nonzero g_j
+        b_terms = [(j, y) for j, y in enumerate(other.coeffs[1:N + 1], start=1) if y]
+        out = []
         for n in range(N + 1):
             acc = self.coeffs[n]
-            for j in range(1, n + 1):
-                acc -= other.coeffs[j] * out[n - j]
-            out[n] = acc * inv0
+            for j, y in b_terms:
+                if j > n:
+                    break
+                acc -= y * out[n - j]
+            out.append(acc * inv0)
         return PowerSeries(out, N)
 
     def __rtruediv__(self, other):
@@ -334,21 +339,8 @@ def count_12_3_4(n):
 
 def gf_coeffs_rational(numerator, denominator, N):
     """Coefficients 0..N of numerator/denominator, integer polynomials with
-    constant term first, via the linear recurrence they induce."""
-    num = list(numerator)
-    den = list(denominator)
-    if not den or den[0] == 0:
-        raise DivByZeroConstant("denominator constant term is zero")
-    out = []
-    for n in range(N + 1):
-        acc = Fraction(num[n]) if n < len(num) else Fraction(0)
-        for j in range(1, min(n, len(den) - 1) + 1):
-            acc -= den[j] * out[n - j]
-        val = acc / den[0]
-        if val.denominator != 1:
-            raise NonIntegralCoefficient(f"coefficient {n} is {val}")
-        out.append(int(val))
-    return out
+    constant term first, by series division."""
+    return (PowerSeries(numerator, N) / PowerSeries(denominator, N)).integer_coeffs()
 
 
 NUM_14_2_3 = [0, 1, -3, 3]
@@ -403,7 +395,7 @@ def h_series_check(N):
         raise ValueError("need N >= 2")
     rows = [(), ()]
     for n in range(2, N + 1):
-        h1 = _poly_eval_one(rows[n - 1]) if n - 1 >= 0 else Fraction(0)
+        h1 = _poly_eval_one(rows[n - 1])
         prev2 = rows[n - 2]
         h2 = _poly_eval_one(prev2)
         # numerator h_{n-2}(1) - t*h_{n-2}(t), then the exact (1-t) division

@@ -16,12 +16,13 @@
 import json
 from dataclasses import dataclass, field
 
-from .avoidance import avoider_counts, avoids
+from .avoidance import avoider_counts, avoids, count_avoiders
 from .core import (
     SetPartition,
-    bell,
+    components,
     iter_partitions,
     punctured_block_pattern,
+    single_block_pattern,
     singletons_pattern,
     stirling2,
 )
@@ -109,20 +110,7 @@ def _proved_pairs(k):
 def predicted_classes(k):
     """Connected components of the proved-equivalence pairs."""
     texts = sorted(str(t) for t in iter_partitions(k))
-    parent = {t: t for t in texts}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in _proved_pairs(k):
-        parent[find(a)] = find(b)
-    comps = {}
-    for t in texts:
-        comps.setdefault(find(t), []).append(t)
-    return sorted(sorted(c) for c in comps.values())
+    return sorted(components(texts, _proved_pairs(k)))
 
 
 # =========================================================================
@@ -198,7 +186,7 @@ def wilf_classes(table):
             n, d = _first_strict(table.rows[a], table.rows[b], start)
             evidence.append({"a": a, "b": b, "first_strict_n": n, "direction": d})
 
-    beta = str(SetPartition([range(1, table.k + 1)], table.k))
+    beta = str(single_block_pattern(table.k))
     beta_row = table.rows[beta]
     conj31 = all(
         all(c < bc for c, bc in zip(row, beta_row))
@@ -257,7 +245,7 @@ def check_conjecture_order(k, n_max, table=None):
         raise ValueError("the conjecture concerns k >= 4")
     if table is None:
         table = build_table(k, n_max)
-    beta = str(SetPartition([range(1, k + 1)], k))
+    beta = str(single_block_pattern(k))
     beta_row = table.rows[beta]
     violations = []
     for text, row in sorted(table.rows.items()):
@@ -303,7 +291,7 @@ def check_lemma_4_7(n_max):
                     "total_1_24_3": 1 + a + a_star + c,
                     "total_sigma_4": 1 + a + a_star + d}
     decomp_ok = all(
-        sizes[n]["total_1_24_3"] == sum(1 for p in iter_partitions(n) if avoids(p, pat))
+        sizes[n]["total_1_24_3"] == count_avoiders(n, pat)
         and sizes[n]["total_sigma_4"] == stirling2(n, 1) + stirling2(n, 2) + stirling2(n, 3)
         for n in sizes)
     a_closed = all(sizes[n]["A"] == 2 ** (n - 1) - 1 for n in sizes)

@@ -157,6 +157,11 @@ def test_iter_avoiders_edge_patterns():
         assert len(list(iter_avoiders(n, P("1/2/3/4/5/6")))) == BELL[n]
 
 
+def test_iter_avoiders_far_past_the_recursion_limit():
+    # the walk keeps its pending nodes on a stack, not on the call stack
+    assert len(list(iter_avoiders(1200, P("1/2")))) == 1
+
+
 def test_iter_avoiders_reproduces_k4_rows():
     for text, row in K4_ROWS.items():
         tau = P(text)

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import sys
@@ -262,6 +263,27 @@ def test_verify_exit_codes_on_small_ranges(capsys, name):
                 assert len(err.splitlines()) == 1, argv
 
 
+def test_verify_far_past_the_recursion_limit(capsys):
+    # the psi corpus at k = 2 is the one partition 1..n; listing it used to
+    # recurse once per element
+    rc, out, _ = run(capsys, "verify", "--map", "psi", "--k", "2", "--n", "1200")
+    assert rc == 0 and out == "pass: psi (k=2, n=1200)\n"
+
+
+@pytest.mark.parametrize("name,target,broken", [
+    ("phi_a", "phi_a_inverse", lambda rho, k, a: rho),
+    ("two_block", "two_block_varphi_inverse", lambda rho, sigma: rho),
+    ("words_14_2_3", "decode_14_2_3", lambda pi: "a" * pi.n),
+])
+def test_verify_failure_exits_5(capsys, monkeypatch, name, target, broken):
+    # a map whose inverse is broken fails its check with one stdout line
+    monkeypatch.setattr("partavoid.cli." + target, broken)
+    rc, out, err = run_fail(capsys, "verify", "--map", name)
+    assert rc == 5
+    assert out.startswith(f"fail: {name}: ") and len(out.splitlines()) == 1
+    assert "Traceback" not in err
+
+
 # =========================================================================
 # table and classes
 # =========================================================================
@@ -395,3 +417,31 @@ def test_argv_fuzz_exit_codes(argv):
     assert "Traceback" not in err, argv
     if rc in (2, 3):
         assert "error:" in err, argv
+
+
+# =========================================================================
+# golden bytes
+# =========================================================================
+
+@pytest.mark.parametrize("argv,digest", [
+    (["classes", "--k", "4", "--n-max", "8"],
+     "8def5b845b10662b4f4c824f987b442ea470f7dd667e912d046d7193add0fd15"),
+    (["classes", "--k", "5", "--n-max", "7", "--format", "csv"],
+     "0d09633f9f8e22d8515a59cc9611058621ec060f975a57a00f9e1848b6b8944b"),
+])
+def test_classes_golden_bytes(capsys, argv, digest):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("text,line", [
+    ("12//3", "error: cannot parse pattern '12//3': empty block in text"),
+    ("13", "error: cannot parse pattern '13': blocks cover [13], expected 1..13"),
+    ("1 3/2 3", "error: cannot parse pattern '1 3/2 3': elements repeated across blocks: [3]"),
+])
+def test_parse_error_golden_lines(capsys, text, line):
+    for argv in (["count", "--n", "5", "--pattern", text],
+                 ["avoid", "--sigma", "1/2", "--tau", text]):
+        rc, out, err = run_fail(capsys, *argv)
+        assert rc == 2 and out == "" and err == line + "\n"

@@ -16,6 +16,7 @@ from partavoid.core import (
     RGFWord,
     SetPartition,
     bell,
+    components,
     double_factorial,
     falling,
     iter_compositions,
@@ -115,6 +116,26 @@ def test_complement_involution(word):
 def test_standardize():
     assert str(standardize([[2, 7], [4]])) == "13/2"
     assert standardize([[5]]).n == 1
+
+
+def test_block_check_is_shared():
+    # from_blocks and standardize raise the same errors, word for word
+    for blocks, exc, text in (([[1, 2], []], EmptyBlock, "empty block"),
+                              ([[1, 3], [3, 2]], OverlappingBlocks,
+                               "elements repeated across blocks: [3]")):
+        for build in (lambda: SetPartition.from_blocks(blocks, 3),
+                      lambda: standardize(blocks)):
+            with pytest.raises(exc) as info:
+                build()
+            assert str(info.value) == text
+    # a repeat inside one block is a set, as before
+    assert str(standardize([[4, 4], [9]])) == "1/2"
+
+
+def test_components():
+    assert components(range(6), [(0, 3), (4, 5), (3, 0), (5, 1)]) == [[0, 3], [1, 4, 5], [2]]
+    assert components("abc", []) == [["a"], ["b"], ["c"]]
+    assert components([], []) == []
 
 
 def test_iter_partitions_counts_and_order():

@@ -7,6 +7,10 @@ import pytest
 from partavoid.avoidance import avoids, count_avoiders
 from partavoid.core import SetPartition, iter_partitions
 from partavoid.enumeration import (
+    DEN_14_2_3,
+    DEN_1_24_3,
+    NUM_14_2_3,
+    NUM_1_24_3,
     BivariateSeries,
     ComposeNonzeroConstant,
     DivByZeroConstant,
@@ -164,6 +168,41 @@ def test_kernel_compose_matches_horner(seed):
         N = min(f.N, g.N)
         got = f.compose(g)
         assert got.N == N and got.coeffs == tuple(_ref_compose(f.coeffs, g.coeffs, N))
+
+
+def _ref_div(f, g, N):
+    # long division over every divisor term, zeros included
+    out = []
+    for n in range(N + 1):
+        acc = f[n] - sum((g[j] * out[n - j] for j in range(1, n + 1)), Fraction(0))
+        out.append(acc / g[0])
+    return out
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_kernel_div_matches_long_division(seed):
+    # sparse divisors too: the kernel skips their zero terms
+    rng = random.Random(300 + seed)
+    for _ in range(6):
+        f = _random_series(rng, rng.randint(0, 12))
+        g = _random_series(rng, rng.randint(0, 12))
+        g = PowerSeries((Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 5)),)
+                        + g.coeffs[1:], g.N)
+        N = min(f.N, g.N)
+        got = f / g
+        assert got.N == N and got.coeffs == tuple(_ref_div(f.coeffs, g.coeffs, N))
+        assert _ref_mul(got.coeffs, g.coeffs, N) == list(f.coeffs[:N + 1])
+
+
+def test_gf_rational_is_series_division():
+    N = 30
+    for num, den in ((NUM_14_2_3, DEN_14_2_3), (NUM_1_24_3, DEN_1_24_3)):
+        f, g = PowerSeries(num, N).coeffs, PowerSeries(den, N).coeffs
+        assert gf_coeffs_rational(num, den, N) == _ref_div(f, g, N)
+    with pytest.raises(DivByZeroConstant):
+        gf_coeffs_rational([1], [0, 1], 4)
+    with pytest.raises(DivByZeroConstant):
+        gf_coeffs_rational([1], [], 4)
 
 
 def test_sqrt_is_exact_at_the_truncation_order():
