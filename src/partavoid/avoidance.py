@@ -5,14 +5,17 @@
 #  has the pruned containment search (the point query), a deliberately naive
 #  all-subsets checker kept as the test oracle, RGF-word containment for
 #  contrast, the block-level criterion for the patterns 1..(a-1)(a+1)..k/a,
-#  and the brute-force walk over the RGF prefix tree, one pass from the root
-#  that both counts the avoiders of every [d], d <= n (avoider_counts) and,
-#  keeping the blocks of the prefix it is at, lists them (iter_avoiders).
-#  The walk never searches a prefix from scratch: each node carries its set
-#  of partial embeddings of the pattern, a map from pattern blocks to host
-#  blocks with the number of pattern elements placed, and updates it as each
-#  element is added.  Later elements exceed the whole prefix, so positions
-#  never matter and, for one map, more elements placed dominates fewer.
+#  and the exact count and listing of the avoiders of a pattern.  Both grow
+#  partitions one element at a time in RGF order, and neither searches a
+#  prefix from scratch: each prefix carries its set of partial embeddings of
+#  the pattern (a map from pattern blocks to host blocks, with the number of
+#  pattern elements placed), which one transition updates as each element is
+#  added.  Later elements exceed the whole prefix, so positions never matter
+#  and a prefix's future depends on its embeddings alone.  So the count
+#  (avoider_counts) goes level by level and merges the prefixes that have
+#  the same embeddings up to a renaming of host blocks, while the listing
+#  (iter_avoiders) walks every prefix, cut at the first containment, and is
+#  the oracle the count is tested against.
 #
 ###############################################################################
 
@@ -198,25 +201,40 @@ def block_contains_beta_ambient(block, k, a, n):
 
 
 # =========================================================================
-# brute-force counting over the RGF prefix tree
+# counting and listing the avoiders over the RGF prefix tree
 # =========================================================================
 
-def _placer(k, pb):
-    """The walk's transition for a pattern of [k] with block index pb.
+def _block_ends(k, pb):
+    """The last element of each pattern block, in block order."""
+    end = [0] * (max(pb) + 1)
+    for e in range(1, k + 1):
+        end[pb[e]] = e
+    return end
 
-    Each node of the RGF prefix walk carries the partial embeddings of the
-    pattern into its prefix as a dict m -> j: m gives the host block of each
-    pattern block 0..r-1 in RGF order, and j is the largest number of
-    pattern elements 1..j placed with that map.  Every later host element
-    exceeds the whole prefix, so positions never matter and, for a fixed m,
-    a larger j dominates a smaller one.  Adding an element to host block bi
-    extends (m, j) when the pattern block t of element j+1 is already mapped
-    to bi, or is new and bi is not yet in m (giving m + (bi,)).  The
-    returned place(states, bi, need) gives the child's states, keeping those
-    with j >= need, or None when j reaches k: the child contains the
-    pattern, and its subtree is pruned.
+
+def _placer(k, pb):
+    """The transition shared by the count and the listing, for a pattern of
+    [k] with block index pb.
+
+    A prefix carries the partial embeddings of the pattern into it as a dict
+    m -> j: m gives the host block of each pattern block 0..r-1 in RGF order,
+    and j is the largest number of pattern elements 1..j placed with that
+    map.  Every later host element exceeds the whole prefix, so positions
+    never matter and, for a fixed m, a larger j dominates a smaller one.
+    Adding an element to host block bi extends (m, j) when the pattern block
+    t of element j+1 is already mapped to bi, or is new and bi is not yet in
+    m (giving m + (bi,)).  Once all r pattern blocks are mapped, the host
+    block of each closed pattern block (all its elements <= j) is masked to
+    -1: it is never compared again, so maps that differ only there are one
+    state.  The returned place(states, bi, need) gives the child's states,
+    keeping those with j >= need, or None when j reaches k: the child
+    contains the pattern.  When nothing changes it returns states itself.
     """
     nxt = pb[1:]  # nxt[j] is the pattern block of element j + 1
+    end = _block_ends(k, pb)
+    r = len(end)
+    closes = [e == end[pb[e]] for e in range(k + 1)]  # element e ends its block
+    closed = [[e <= j for e in end] for j in range(k + 1)]  # the closed blocks at j
 
     def place(states, bi, need):
         child = None
@@ -234,59 +252,151 @@ def _placer(k, pb):
             if j == k:
                 return None
             if child is None:
-                child = {m2: j2 for m2, j2 in states.items() if j2 >= need}
+                if need > 0:
+                    child = {m2: j2 for m2, j2 in states.items() if j2 >= need}
+                else:
+                    child = states.copy()
+            if len(grown) == r and (grown is not m or closes[j]):
+                if grown is m and child.get(m) == j - 1:
+                    del child[m]  # dominated by the grown state, as when unmasked
+                grown = tuple([-1 if x else h for x, h in zip(closed[j], grown)])
             if j >= need and child.get(grown, 0) < j:
                 child[grown] = j
+        if child is None and need > 0:
+            child = {m: j for m, j in states.items() if j >= need}
+            if len(child) == len(states):
+                child = None
         return states if child is None else child
 
     return place
 
 
 def avoider_counts(n, tau, shards=1):
-    """List c with c[d] = |Pi_d(tau)| for 1 <= d <= n, from one walk.
+    """List c with c[d] = |Pi_d(tau)| for 1 <= d <= n, counted level by level.
 
-    The walk goes once from the root of the RGF prefix tree, depth first,
-    keeping its pending nodes on an explicit stack, so no recursion limit
-    bounds n.  Each node's states are updated by the transition of _placer;
-    a prefix that contains the pattern is pruned with its whole subtree,
-    and every surviving node of depth d is one avoider of [d].  States that
+    A prefix's future depends only on its states (see _placer), and place
+    compares host blocks only for equality, so the prefixes of [d] are
+    counted together by state: level d is a dict from a key (u, f, frozenset
+    of the states) to the number of avoiders of [d] with that key.  The u
+    host blocks that some map uses are renamed 0..u-1 in the order of a
+    signature of their roles in the states (any renaming is sound; this one
+    lets prefixes that differ only in the order of alike blocks merge), and
+    the other f blocks are free.  A free block and the new block are
+    interchangeable, so one place on label u serves all f + 1 of them.  A
+    state one element short makes a block dead (the next element there
+    completes the pattern), or every block outside its map, the free ones
+    and the new one included.  A dead block never takes another element, so
+    it leaves the count with every state that still needs it.  States that
     can no longer reach k within the elements left are dropped, and the
-    children of a node at depth n - 1 are counted from its states directly.
-    shards is checked (it must be positive) but does not split the work:
-    the walk and its counts are the same for every value.
+    prefixes of [n - 1] count their children from their states.  No
+    recursion limit bounds n.  shards is checked (it must be positive) but
+    does not split the work: the counts are the same for every value.
     """
     if n < 1:
         raise ValueError("n must be positive")
     if shards < 1:
         raise ValueError("shards must be positive")
     tau, k, pb = _pattern_data(tau)
-    nxt = pb[1:]
-    last = k - 1
     place = _placer(k, pb)
-    counts = [0] * (n + 1)
-    stack = [(1, 0, {(): 0})]  # (element to add, blocks so far, states)
-    while stack:
-        s, nb, states = stack.pop()
-        if s == n:
-            # children of a depth n - 1 node that still avoid the pattern:
-            # the states one element short each rule out one block or all
-            # blocks outside their map
-            alive = set(range(nb + 1))
-            t = nxt[last]
-            for m, j in states.items():
-                if j == last:
-                    if t < len(m):
-                        alive.discard(m[t])
+    end = _block_ends(k, pb)
+    tk = pb[k]  # the pattern block of element k
+    opened = [[i for i, e in enumerate(end) if e > j] for j in range(k + 1)]
+    # a used block's signature sums weight[j][i] over the states that map
+    # pattern block i to it with j elements placed
+    weight = [[1 << 8 * (i * (k + 1) + j) for i in range(len(end))] for j in range(k + 1)]
+
+    def settle(child, keyed):
+        """(key or None, u, lost, shut) for a child's states, lost being the
+        number of its blocks that die; shut means that no free block and
+        not the new block may take the next element."""
+        used = set().union(*child)
+        used.discard(-1)
+        dead = set()
+        shut = k - 1 in child.values()
+        if shut:
+            keep = used
+            for m, j in child.items():
+                if j == k - 1:
+                    if tk < len(m):
+                        dead.add(m[tk])
                     else:
-                        alive.intersection_update(m)
-            counts[n] += len(alive)
-            continue
+                        keep = keep.intersection(m)
+            shut = keep is not used
+            dead |= used - keep
+            if dead:
+                # a state goes when an open pattern block (one with an
+                # element past j) sits on a dead block, and a closed one
+                # sitting there is masked
+                live = {}
+                for m, j in child.items():
+                    if not dead.isdisjoint(m):
+                        if any(i < len(m) and m[i] in dead for i in opened[j]):
+                            continue
+                        m = tuple([-1 if h in dead else h for h in m])
+                    if live.get(m, -1) < j:
+                        live[m] = j
+                child = live
+                used = set().union(*child)
+                used.discard(-1)
+        u = len(used)
+        if not keyed:
+            return None, u, len(dead), shut
+        if u > 1:
+            roles = dict.fromkeys(used, 0)
+            roles[-1] = 0
+            for m, j in child.items():
+                for h, x in zip(m, weight[j]):
+                    roles[h] += x
+            order = sorted(used, key=roles.__getitem__)
+        else:
+            order = list(used)
+        if order != list(range(u)):
+            label = dict(zip(order, range(u)))
+            label[-1] = -1
+            child = {tuple([label[h] for h in m]): j for m, j in child.items()}
+        return frozenset(child.items()), u, len(dead), shut
+
+    counts = [0] * (n + 1)
+    if n == 1:
+        counts[1] = int(k > 1)  # the one partition of [1] contains only 1
+        return counts
+    level = {(0, 0, frozenset({((), 0)})): 1}
+    for s in range(1, n):
         need = k - (n - s)
-        for bi in range(nb + 1):
-            child = place(states, bi, need)
-            if child is not None:
-                counts[s] += 1
-                stack.append((s + 1, nb + (bi == nb), child))
+        after = {}
+        while level:
+            (u, f, key), c = level.popitem()
+            states = dict(key)
+            shut = k - 1 in states.values()
+            for bi in range(u + 1):
+                child = place(states, bi, need)
+                if child is None:
+                    continue
+                if child is states:
+                    key2, u2, lost, shut2 = key, u, 0, shut
+                else:
+                    key2, u2, lost, shut2 = settle(child, s < n - 1)
+                # bi < u is one used block; bi == u stands for each of the
+                # f free blocks and for the new block
+                if bi < u:
+                    ways = ((c, 0),)
+                elif f:
+                    ways = ((c * f, 0), (c, 1))
+                else:
+                    ways = ((c, 1),)
+                for w, new in ways:
+                    counts[s] += w
+                    free = 0 if shut2 else u + f + new - lost - u2
+                    if s < n - 1:
+                        slot = (u2, free, key2)
+                        after[slot] = after.get(slot, 0) + w
+                    else:
+                        # the child's own children: a block that would
+                        # complete the pattern is dead and out of the count,
+                        # so every used block takes one, and unless the
+                        # child is shut so do its free blocks and a new one
+                        counts[n] += w * (u2 if shut2 else u2 + free + 1)
+        level = after
     return counts
 
 
@@ -298,11 +408,12 @@ def count_avoiders(n, tau, shards=1):
 def iter_avoiders(n, tau):
     """Every partition of [n] that avoids tau, in lexicographic RGF order.
 
-    The pruned walk of avoider_counts, keeping the blocks of the current
-    prefix as it goes: a prefix that contains the pattern is cut with its
-    whole subtree, so no partition is searched from scratch.  Pending nodes
-    wait on an explicit stack, children pushed last to first so that they
-    come off in RGF order, and no recursion limit bounds n.
+    A walk over every prefix with the transition of _placer, keeping the
+    blocks of the current prefix as it goes: a prefix that contains the
+    pattern is cut with its whole subtree, so no partition is searched from
+    scratch.  It is the oracle avoider_counts is tested against.  Pending
+    nodes wait on an explicit stack, children pushed last to first so that
+    they come off in RGF order, and no recursion limit bounds n.
     """
     if n < 1:
         return

@@ -161,21 +161,22 @@ class RWord(tuple):
 
 
 def iter_r_words(n, k):
-    """All valid words of length n over {1..k-1} with the ones condition."""
-    if n < 1:
+    """All valid words of length n over {1..k-1} with the ones condition, in
+    lexicographic order: an odometer over the word, as iter_rgf_words."""
+    if n < 1 or k < 2:
         return
-    word = []
-
-    def rec(ones):
-        if len(word) == n:
-            yield RWord(word, k)
+    word = [1] * n
+    ones = list(range(n))  # ones[i] = the number of 1's in word[:i]
+    while True:
+        yield RWord(word, k)
+        i = n - 1
+        while i >= 0 and (word[i] > ones[i] or word[i] >= k - 1):
+            i -= 1
+        if i < 0:
             return
-        for x in range(1, min(k - 1, ones + 1) + 1):
-            word.append(x)
-            yield from rec(ones + (1 if x == 1 else 0))
-            word.pop()
-
-    yield from rec(0)
+        word[i] += 1
+        word[i + 1:] = [1] * (n - i - 1)
+        ones[i + 1:] = range(ones[i], ones[i] + n - i - 1)
 
 
 # =========================================================================

@@ -253,21 +253,26 @@ class RGFWord(tuple):
 
 
 def iter_rgf_words(n, max_letter=None):
-    """All RGF words of length n in lexicographic order (optionally capped)."""
-    if n < 1:
+    """All RGF words of length n in lexicographic order (optionally capped).
+
+    An odometer over the word: the last letter that may still grow grows,
+    and every letter after it restarts at 1, so no recursion limit bounds n.
+    """
+    cap = n if max_letter is None else max_letter
+    if n < 1 or n > 1 and cap < 1:
         return
     word = [1] * n
-
-    def rec(i, mx):
-        if i == n:
-            yield RGFWord(word)
+    lim = [1] + [min(2, cap)] * (n - 1)  # the largest letter each position may take
+    while True:
+        yield RGFWord(word)
+        i = n - 1
+        while i > 0 and word[i] >= lim[i]:
+            i -= 1
+        if i == 0:
             return
-        top = mx + 1 if max_letter is None else min(mx + 1, max_letter)
-        for a in range(1, top + 1):
-            word[i] = a
-            yield from rec(i + 1, max(mx, a))
-
-    yield from rec(1, 1)
+        word[i] += 1
+        word[i + 1:] = [1] * (n - i - 1)
+        lim[i + 1:] = [min(max(lim[i], word[i] + 1), cap)] * (n - i - 1)
 
 
 def iter_partitions(n):

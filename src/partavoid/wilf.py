@@ -2,14 +2,14 @@
 #
 #  Empirical Wilf classification over all patterns of a fixed size.
 #
-#  Builds exact avoider tables with the search oracle, clusters patterns
+#  Builds exact avoider tables with the exact count, clusters patterns
 #  whose rows agree across the horizon, and checks the proved structure:
 #  complementation, the punctured-block equivalences and threshold, the
 #  everything-below-the-single-block ordering, and the two-family counting
-#  lemma behind 1/24/3 < 1/2/3/4.  A table walks one member of each
+#  lemma behind 1/24/3 < 1/2/3/4.  A table counts one member of each
 #  complement pair, the one with the smaller RGF word, and copies its row
 #  to the other, so complementation holds in a table by construction; the
-#  tests keep it checked by walking both members apart.
+#  tests keep it checked by counting both members apart.
 #
 ###############################################################################
 
@@ -66,9 +66,9 @@ def build_table(k, n_max, shards=1):
     """The avoider counts of every pattern of [k] for n = k+1 .. n_max.
 
     Complementation is a Wilf-equivalence, so each complement pair
-    {tau, tau^c} is walked once, on the member with the smaller RGF word,
+    {tau, tau^c} is counted once, on the member with the smaller RGF word,
     and its row is copied to the other member.  iter_partitions runs in RGF
-    order, so that member is the one met first.  The tests still walk both
+    order, so that member is the one met first.  The tests still count both
     members of every pair and compare.
     """
     if k < 2:
@@ -207,7 +207,7 @@ def check_beta_threshold(k, n_max, table=None):
     end-position row weakly below, strictly from n = 2k-2 on.
 
     ends_equal compares 1/2..k with 1..(k-1)/k, a complement pair, whose
-    rows build_table copies from one walk; it holds by construction on
+    rows build_table copies from one count; it holds by construction on
     such a table and checks something only on a table built otherwise.
     """
     if n_max < 2 * k - 2:

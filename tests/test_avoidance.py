@@ -21,6 +21,7 @@ from partavoid.core import (
     punctured_block_pattern,
     standardize,
 )
+from partavoid.enumeration import closed_count
 
 from conftest import BELL, K4_COMPLEMENTS, K4_ROWS, K5_ROWS
 
@@ -195,6 +196,7 @@ def test_shard_determinism():
 def test_k5_rows_frozen():
     for text, row in K5_ROWS.items():
         assert count_avoiders(7, P(text)) == row[6]
+        assert avoider_counts(9, P(text))[1:] == list(row), text
 
 
 @settings(max_examples=40, deadline=None)
@@ -222,3 +224,32 @@ def test_complement_count_symmetry():
         comp = tau.complement()
         for n in range(4, 7):
             assert count_avoiders(n, tau) == count_avoiders(n, comp)
+
+
+# =========================================================================
+# the level-by-level count against the listing walk and the closed forms
+# =========================================================================
+
+def test_counts_match_the_listing_for_every_pattern_to_k5():
+    # the count merges prefixes with equal states; the listing walks every
+    # prefix.  Each depth d, for every n (the states it drops depend on n)
+    for k in range(1, 6):
+        for tau in iter_partitions(k):
+            listed = [0] + [len(list(iter_avoiders(d, tau))) for d in range(1, 9)]
+            for n in range(1, 9):
+                assert avoider_counts(n, tau) == listed[:n + 1], (str(tau), n)
+
+
+def test_counts_agree_with_every_closed_form_past_brute_force():
+    # two independent methods at every n <= 14, far beyond what the walk
+    # lists in test time; every pattern of [4] but 1/23/4 has a closed form
+    checked = set()
+    for tau in iter_partitions(4):
+        counts = avoider_counts(14, tau)
+        for method in ("formula", "gf"):
+            for n in range(1, 15):
+                want = closed_count(tau, n, method)
+                if want is not None:
+                    assert counts[n] == want, (str(tau), method, n)
+                    checked.add(str(tau))
+    assert len(checked) == 14 and "1/23/4" not in checked

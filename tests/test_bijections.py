@@ -1,5 +1,6 @@
 import copy
 import pickle
+from itertools import islice, product
 
 import pytest
 from hypothesis import given, settings
@@ -329,6 +330,23 @@ def test_rword_pickle_and_copy_round_trip():
             for v in copies + [copy.copy(w), copy.deepcopy(w)]:
                 assert type(v) is RWord and v == w and v.k == w.k == k
                 assert R_to_rgf(v) == R_to_rgf(w)
+
+
+def test_iter_r_words_is_every_word_in_order():
+    # against a filter over all words of {1..k-1}^n, which is lexicographic
+    for k in range(2, 6):
+        for n in range(1, 7):
+            want = [w for w in product(range(1, k), repeat=n)
+                    if all(w[i] <= w[:i].count(1) + 1 for i in range(n))]
+            assert [tuple(v) for v in iter_r_words(n, k)] == want, (n, k)
+    assert list(iter_r_words(0, 3)) == [] and list(iter_r_words(3, 1)) == []
+
+
+def test_iter_r_words_far_past_the_recursion_limit():
+    # an odometer over the word, not one frame per letter
+    assert [tuple(v) for v in iter_r_words(3000, 2)] == [(1,) * 3000]
+    first = [tuple(v) for v in islice(iter_r_words(3000, 3), 3)]
+    assert first == [(1,) * 3000, (1,) * 2999 + (2,), (1,) * 2998 + (2, 1)]
 
 
 def test_rgf_R_bijection_small():

@@ -270,6 +270,13 @@ def test_verify_far_past_the_recursion_limit(capsys):
     assert rc == 0 and out == "pass: psi (k=2, n=1200)\n"
 
 
+def test_verify_rgf_R_far_past_the_recursion_limit(capsys):
+    # both word sets at k = 2 are the one word 1..1; the two generators
+    # used to recurse once per letter
+    rc, out, err = run(capsys, "verify", "--map", "rgf_R", "--k", "2", "--n", "1200")
+    assert rc == 0 and out == "pass: rgf_R (k=2, n=1200)\n" and err == ""
+
+
 @pytest.mark.parametrize("name,target,broken", [
     ("phi_a", "phi_a_inverse", lambda rho, k, a: rho),
     ("two_block", "two_block_varphi_inverse", lambda rho, sigma: rho),

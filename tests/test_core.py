@@ -1,6 +1,7 @@
 import copy
 import pickle
 from functools import lru_cache
+from itertools import islice, product
 
 import pytest
 from hypothesis import given
@@ -151,6 +152,24 @@ def test_iter_partitions_counts_and_order():
 def test_iter_rgf_words_bounded():
     assert sum(1 for _ in iter_rgf_words(5)) == BELL[5]
     assert sum(1 for _ in iter_rgf_words(5, max_letter=2)) == 2 ** 4
+
+
+def test_iter_rgf_words_is_every_capped_word_in_order():
+    # against a filter over all words of {1..n}^n, which is lexicographic
+    for n in range(1, 7):
+        for cap in (None, 1, 2, 3, n):
+            top = n if cap is None else cap
+            want = [w for w in product(range(1, top + 1), repeat=n)
+                    if all(w[i] <= max(w[:i], default=0) + 1 for i in range(n))]
+            assert [tuple(w) for w in iter_rgf_words(n, max_letter=cap)] == want, (n, cap)
+    assert list(iter_rgf_words(0)) == [] and list(iter_rgf_words(3, max_letter=0)) == []
+
+
+def test_iter_rgf_words_far_past_the_recursion_limit():
+    # an odometer over the word, not one frame per letter
+    assert [tuple(w) for w in iter_rgf_words(3000, max_letter=1)] == [(1,) * 3000]
+    first = [tuple(w) for w in islice(iter_rgf_words(3000), 3)]
+    assert first == [(1,) * 3000, (1,) * 2999 + (2,), (1,) * 2998 + (2, 1)]
 
 
 def test_matchings():
