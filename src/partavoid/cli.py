@@ -21,6 +21,7 @@ import os
 import random
 import sys
 from functools import partial
+from itertools import islice
 
 from .avoidance import (
     avoids,
@@ -143,20 +144,28 @@ def cmd_avoid(args):
 # verify
 # =========================================================================
 
-def _sample(pool, seed, cap=20000):
-    """The pool, subsampled when huge, in which case the second return value
-    flags the loss of exhaustiveness."""
-    if len(pool) > cap:
-        rng = random.Random(seed)
-        pool = rng.sample(pool, cap)
+def _sample(items, seed, cap=20000):
+    """The items as a list, in their order when there are at most cap of
+    them; otherwise a uniform sample of cap of them, drawn by a reservoir
+    (Algorithm R) that never holds more than cap, and the second return
+    value flags the loss of exhaustiveness."""
+    items = iter(items)
+    pool = list(islice(items, cap))
+    rng = random.Random(seed)
+    sampled = False
+    for seen, item in enumerate(items, start=cap + 1):
+        sampled = True
+        j = rng.randrange(seen)
+        if j < cap:
+            pool[j] = item
+    if sampled:
         print(f"note: sampled {cap} of the corpus", file=sys.stderr)
-        return pool, True
-    return pool, False
+    return pool, sampled
 
 
 def _corpus(n, tau, seed):
     """The partitions of [n] that avoid tau, from the pruned walk."""
-    return _sample(list(iter_avoiders(n, tau)), seed)
+    return _sample(iter_avoiders(n, tau), seed)
 
 
 def _verify_slide(k, n, seed):
@@ -197,7 +206,7 @@ def _verify_two_block(k, n, seed):
     if n <= k:  # the gamma witness has the element k + 1
         _fail(2, f"need --n > --k for two_block, got n={n}, k={k}")
     beta = single_block_pattern(k)
-    src, _ = _sample([p for p in iter_partitions(n) if contains(p, beta)], seed)
+    src, _ = _sample((p for p in iter_partitions(n) if contains(p, beta)), seed)
     for sigma in iter_partitions(k):
         if len(sigma.blocks) != 2:
             continue

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import K4_COMPLEMENTS, K4_ROWS, K5_ROWS
 from partavoid.avoidance import avoider_counts
-from partavoid.cli import VERIFY, main
+from partavoid.cli import VERIFY, _sample, main
 from partavoid.core import SetPartition, iter_partitions
 
 
@@ -275,6 +275,31 @@ def test_verify_rgf_R_far_past_the_recursion_limit(capsys):
     # used to recurse once per letter
     rc, out, err = run(capsys, "verify", "--map", "rgf_R", "--k", "2", "--n", "1200")
     assert rc == 0 and out == "pass: rgf_R (k=2, n=1200)\n" and err == ""
+
+
+def test_sample_under_the_cap_is_the_corpus_in_walk_order(capsys):
+    items = list(iter_partitions(5))
+    for cap in (len(items), len(items) + 1):
+        assert _sample(iter(items), 3, cap=cap) == (items, False)
+    assert capsys.readouterr().err == ""
+
+
+def test_sample_over_the_cap_is_a_seeded_reservoir(capsys):
+    items = list(iter_partitions(6))
+    draws = {seed: _sample(iter(items), seed, cap=10) for seed in (1, 2)}
+    assert _sample(iter(items), 1, cap=10) == draws[1]
+    assert draws[1][0] != draws[2][0]
+    for pool, sampled in draws.values():
+        assert sampled and len(set(pool)) == len(pool) == 10
+        assert set(pool) <= set(items)
+    assert capsys.readouterr().err == "note: sampled 10 of the corpus\n" * 3
+    # every item is kept with probability cap / len, here 1/2: about 1000
+    # times in 2000 seeds, with a standard deviation of 22
+    kept = [0] * 6
+    for seed in range(2000):
+        for i in _sample(range(6), seed, cap=3)[0]:
+            kept[i] += 1
+    assert all(900 < c < 1100 for c in kept), kept
 
 
 @pytest.mark.parametrize("name,target,broken", [

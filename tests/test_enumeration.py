@@ -27,6 +27,7 @@ from partavoid.enumeration import (
     count_sigma_k,
     egf_crosscheck_beta_k,
     egf_crosscheck_sigma_k,
+    exp_poly,
     geometric,
     gf_coeffs_13_24,
     gf_coeffs_14_2_3,
@@ -168,6 +169,48 @@ def test_kernel_compose_matches_horner(seed):
         N = min(f.N, g.N)
         got = f.compose(g)
         assert got.N == N and got.coeffs == tuple(_ref_compose(f.coeffs, g.coeffs, N))
+
+
+def _exact_series(rng, N, first):
+    # small denominators keep the schoolbook references quick at N = 40
+    return PowerSeries([first] + [Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                                  for _ in range(N)], N)
+
+
+@pytest.mark.parametrize("f,g", [
+    # an outer series with a zero tail, inner with factorial denominators
+    (exp_poly(3, 30), exp_poly(30, 30) - 1),
+    # an all-zero outer series
+    (PowerSeries([0] * 9, 8), PowerSeries([0, 1, 2, 3], 8)),
+    # an outer series that is a constant, and the orders 0 and 1
+    (PowerSeries([Fraction(3, 7)], 6), geometric(6) - 1),
+    (PowerSeries([5], 0), PowerSeries([0], 0)),
+    (PowerSeries([2, Fraction(-1, 3)], 1), PowerSeries([0, Fraction(5, 2)], 1)),
+    # an inner series of lower order than the outer: the result takes it
+    (exp_poly(12, 12), PowerSeries([0, 1, -1, Fraction(1, 2)], 5)),
+    # order 40, where a truncation fault shows in the top coefficients
+    (_exact_series(random.Random(1), 40, Fraction(2, 3)),
+     _exact_series(random.Random(2), 40, 0)),
+    (_exact_series(random.Random(3), 40, 1), PowerSeries([0, 1, 1], 40)),
+], ids=["zero_tail", "zero_outer", "constant_outer", "order_0", "order_1",
+        "lower_order_inner", "order_40", "order_40_sparse_inner"])
+def test_kernel_compose_edge_cases(f, g):
+    N = min(f.N, g.N)
+    got = f.compose(g)
+    assert got.N == N and got.coeffs == tuple(_ref_compose(f.coeffs, g.coeffs, N))
+    assert all(type(c) is Fraction for c in got.coeffs)
+
+
+@pytest.mark.parametrize("f", [
+    PowerSeries([1], 0),
+    PowerSeries([1, Fraction(-5, 3)], 1),
+    PowerSeries([1, 0, 0, Fraction(1, 6)], 9),
+    _exact_series(random.Random(4), 40, 1),
+], ids=["order_0", "order_1", "sparse", "order_40"])
+def test_kernel_sqrt_edge_cases(f):
+    h = f.sqrt()
+    assert h.N == f.N and h.coeffs == tuple(_ref_sqrt(f.coeffs, f.N))
+    assert all(type(c) is Fraction for c in h.coeffs)
 
 
 def _ref_div(f, g, N):
@@ -342,6 +385,15 @@ def test_egf_crosschecks_k4(k4_rows):
 def test_egf_crosschecks_k5(k5_rows):
     assert egf_crosscheck_beta_k(9, 5)[1:] == list(k5_rows["12345"])
     assert egf_crosscheck_sigma_k(9, 5)[1:] == list(k5_rows["1/2/3/4/5"])
+
+
+def test_egf_crosschecks_refuse_a_non_integral_count(monkeypatch):
+    # a faulty kernel must raise, not have its count truncated by int()
+    faulty = PowerSeries([1, 1, Fraction(1, 3)], 2)
+    monkeypatch.setattr(PowerSeries, "compose", lambda self, inner: faulty)
+    for crosscheck in (egf_crosscheck_beta_k, egf_crosscheck_sigma_k):
+        with pytest.raises(NonIntegralCoefficient, match="coefficient 2"):
+            crosscheck(2, 4)
 
 
 @pytest.mark.parametrize("k", [4, 5])
