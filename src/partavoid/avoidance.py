@@ -31,15 +31,18 @@ from .core import SetPartition, standardize
 
 @lru_cache(maxsize=None)
 def _pattern_data(tau):
-    """Standard form, size k, and the block index of each pattern element
-    1..k (a tuple, as the result is shared by every call for tau)."""
+    """Standard form, size k, the block index of each pattern element 1..k,
+    and for each element the size of its block if it is that block's least
+    element, else 0 (tuples, as the result is shared by every call for tau)."""
     tau = standardize(tau.blocks)
     k = tau.n
     pb = [0] * (k + 1)
+    opens = [0] * (k + 1)
     for ti, b in enumerate(tau.blocks):
+        opens[b[0]] = len(b)
         for e in b:
             pb[e] = ti
-    return tau, k, tuple(pb)
+    return tau, k, tuple(pb), tuple(opens)
 
 
 def containment_witness(sigma, tau):
@@ -47,51 +50,60 @@ def containment_witness(sigma, tau):
 
     Pattern elements 1..k are matched to increasing elements of sigma by
     depth-first search, maintaining the partial correspondence between
-    pattern blocks and sigma blocks; branches that cannot reach k elements
-    or that would merge two pattern blocks are cut.
+    pattern blocks and sigma blocks; branches that cannot reach k elements,
+    that would merge two pattern blocks or that open a pattern block on a
+    smaller sigma block are cut.  The search keeps one list of untried
+    choices per pattern element on an explicit stack, first choice last, so
+    it tries them in the order of a recursive search, finds the same first
+    witness, and no recursion limit bounds k.
     """
-    tau, k, pb = _pattern_data(tau)
+    tau, k, pb, opens = _pattern_data(tau)
     n = sigma.n
-    if k > n or len(tau.blocks) > len(sigma.blocks):
-        return None
     blocks = sigma.blocks
-    bound = [-1] * len(tau.blocks)
+    if k > n or len(tau.blocks) > len(blocks):
+        return None
+    if not k:
+        return ()
+    bound = [0] * len(tau.blocks)  # the sigma block of each opened pattern block
     choice = [0] * (k + 1)
-
-    def dfs(e, low, usedmask):
-        if e > k:
-            return True
-        t = pb[e]
+    untried = [None] * (k + 1)  # (x, sigma block of x), popped from the end
+    used = [0] * (k + 1)  # the mask of sigma blocks taken before element e
+    e = 1
+    low = mask = 0
+    while True:
         hi = n - (k - e)  # leave room for the remaining pattern elements
-        j = bound[t]
-        if j >= 0:
+        size = opens[e]
+        level = []
+        if size:
+            for j, blk in enumerate(blocks):
+                if mask >> j & 1 or len(blk) < size:
+                    continue
+                for x in blk:
+                    if x > low:
+                        if x > hi:
+                            break
+                        level.append((x, j))
+        else:
+            j = bound[pb[e]]
             for x in blocks[j]:
-                if x <= low:
-                    continue
-                if x > hi:
-                    break
-                choice[e] = x
-                if dfs(e + 1, x, usedmask):
-                    return True
-            return False
-        for j2, blk in enumerate(blocks):
-            if usedmask >> j2 & 1:
-                continue
-            bound[t] = j2
-            for x in blk:
-                if x <= low:
-                    continue
-                if x > hi:
-                    break
-                choice[e] = x
-                if dfs(e + 1, x, usedmask | (1 << j2)):
-                    return True
-            bound[t] = -1
-        return False
-
-    if dfs(1, 0, 0):
-        return tuple(choice[1:])
-    return None
+                if x > low:
+                    if x > hi:
+                        break
+                    level.append((x, j))
+        level.reverse()
+        untried[e] = level
+        used[e] = mask
+        while not untried[e]:
+            e -= 1
+            if not e:
+                return None
+        low, j = untried[e].pop()
+        choice[e] = low
+        mask = used[e] | 1 << j
+        bound[pb[e]] = j
+        if e == k:
+            return tuple(choice[1:])
+        e += 1
 
 
 def contains(sigma, tau):
@@ -174,10 +186,10 @@ def block_contains_beta(block, k, a):
     """
     if not 1 <= a <= k:
         raise ValueError("need 1 <= a <= k")
-    xs = sorted(block)
-    s = len(xs)
+    s = len(block)
     if s < k - 1:
         return False
+    xs = sorted(block)
     # i elements below the gap after xs[i-1], s-i above
     for i in range(max(a - 1, 1), min(s - k + a, s - 1) + 1):
         if xs[i] > xs[i - 1] + 1:
@@ -189,10 +201,9 @@ def block_contains_beta_ambient(block, k, a, n):
     """Same criterion with c ranging over all of [n] minus the block."""
     if not 1 <= a <= k:
         raise ValueError("need 1 <= a <= k")
-    xs = sorted(block)
-    s = len(xs)
-    if s < k - 1:
+    if len(block) < k - 1:
         return False
+    xs = sorted(block)
     if a == 1 and xs[0] > 1:
         return True
     if a == k and xs[-1] < n:
@@ -296,7 +307,7 @@ def avoider_counts(n, tau, shards=1):
         raise ValueError("n must be positive")
     if shards < 1:
         raise ValueError("shards must be positive")
-    tau, k, pb = _pattern_data(tau)
+    tau, k, pb, _ = _pattern_data(tau)
     place = _placer(k, pb)
     end = _block_ends(k, pb)
     tk = pb[k]  # the pattern block of element k
@@ -417,7 +428,7 @@ def iter_avoiders(n, tau):
     """
     if n < 1:
         return
-    tau, k, pb = _pattern_data(tau)
+    tau, k, pb, _ = _pattern_data(tau)
     place = _placer(k, pb)
     blocks = []
     path = []  # the block of each element of the prefix in blocks

@@ -23,7 +23,8 @@
 ###############################################################################
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from functools import lru_cache
+from itertools import combinations
 
 from .core import (
     Composition,
@@ -36,7 +37,13 @@ from .core import (
     spanning_doubleton_pattern,
     standardize,
 )
-from .avoidance import avoids, block_contains_beta_ambient, contains, iter_avoiders
+from .avoidance import (
+    _pattern_data,
+    avoids,
+    block_contains_beta_ambient,
+    contains,
+    iter_avoiders,
+)
 
 
 class BijectionError(ValueError):
@@ -115,17 +122,44 @@ class ABCWord(str):
 
 
 def iter_abc_words(n, star=False, doublestar=False):
-    """All words of W_n, optionally filtered to W_n* or W_n**."""
-    for letters in product("abc", repeat=n):
-        try:
-            w = ABCWord("".join(letters))
-        except NotInW:
-            continue
-        if star and not w.is_star():
-            continue
-        if doublestar and not w.is_doublestar():
-            continue
-        yield w
+    """All words of W_n, optionally only those of W_n* or W_n**, in
+    lexicographic order (a < b < c).
+
+    An odometer over the word that only ever holds a valid prefix: the
+    last letter that can grow takes its next allowed letter and every
+    letter after it restarts at a, which every valid prefix allows, so no
+    string outside the set is built and no recursion limit bounds n.  A c
+    needs two a's before it; under star the c before it may not sit exactly
+    one a back; under doublestar every c sits after the same number of a's,
+    and a b may not follow a c that has three or more a's before it.
+    """
+    if n < 1:
+        return
+    word = ["a"] * n
+    a_before = list(range(n))  # a_before[i]: the a's in word[:i]
+    last_c = [-2] * n  # last_c[i]: the a's before the last c in word[:i]; -2 for none
+
+    def allowed(i, letter):
+        a = a_before[i]
+        if letter == "b":
+            return not (doublestar and word[i - 1] == "c" and a >= 3)
+        return a >= 2 and not (star and last_c[i] == a - 1) \
+            and not (doublestar and last_c[i] not in (-2, a))
+
+    while True:
+        yield ABCWord("".join(word))
+        i = n - 1
+        while i > 0:
+            nxt = next((c for c in "bc" if c > word[i] and allowed(i, c)), None)
+            if nxt:
+                break
+            i -= 1
+        if i == 0:
+            return
+        word[i] = nxt
+        word[i + 1:] = ["a"] * (n - i - 1)
+        a_before[i + 1:] = range(a_before[i], a_before[i] + n - i - 1)
+        last_c[i + 1:] = [a_before[i] if nxt == "c" else last_c[i]] * (n - i - 1)
 
 
 class RWord(tuple):
@@ -133,20 +167,22 @@ class RWord(tuple):
     than the number of 1's strictly before it."""
 
     def __new__(cls, letters, k):
-        letters = tuple(int(x) for x in letters)
         if k < 2:
             raise ValueError("need k >= 2")
-        if not letters:
-            raise InvalidRWord("empty word")
+        word = []
         ones = 0
-        for i, x in enumerate(letters, start=1):
+        for x in letters:
+            x = int(x)
             if not 1 <= x <= k - 1:
-                raise InvalidRWord(f"letter {x} at position {i} outside 1..{k - 1}")
+                raise InvalidRWord(f"letter {x} at position {len(word) + 1} outside 1..{k - 1}")
             if x > ones + 1:
-                raise InvalidRWord(f"letter {x} at position {i} exceeds 1 + prior ones")
+                raise InvalidRWord(f"letter {x} at position {len(word) + 1} exceeds 1 + prior ones")
             if x == 1:
                 ones += 1
-        obj = super().__new__(cls, letters)
+            word.append(x)
+        if not word:
+            raise InvalidRWord("empty word")
+        obj = super().__new__(cls, word)
         obj.k = k
         return obj
 
@@ -297,23 +333,26 @@ def phi_a_inverse(rho, k, a):
 # two-block patterns versus the single block
 # =========================================================================
 
-def _interleaving_runs(sigma):
-    # run lengths a_1, b_1, a_2, b_2, ... scanning 1..k through A and B
-    A, B = sigma.blocks
-    a_set = set(A)
+@lru_cache(maxsize=None)
+def _two_block_data(sigma):
+    """sigma's standard form, checked to have two blocks, and its run
+    lengths a_1, b_1, a_2, b_2, ... scanning 1..k through A and B (tuples,
+    as the result is shared by every call for sigma)."""
+    sigma = _pattern_data(sigma)[0]
+    if len(sigma.blocks) != 2:
+        raise PreconditionViolated("pattern must have exactly two blocks")
+    a_set = set(sigma.blocks[0])
     runs_a, runs_b = [], []
     pos = 1
     k = sigma.n
-    in_a = True  # 1 is in A
     while pos <= k:
+        in_a = pos in a_set
         length = 0
-        member = a_set if in_a else set(B)
-        while pos <= k and pos in member:
+        while pos <= k and (pos in a_set) == in_a:
             length += 1
             pos += 1
         (runs_a if in_a else runs_b).append(length)
-        in_a = not in_a
-    return runs_a, runs_b
+    return sigma, tuple(runs_a), tuple(runs_b)
 
 
 def two_block_varphi(pi, sigma):
@@ -325,9 +364,7 @@ def two_block_varphi(pi, sigma):
     the A part (plus the division remainder) and q blocks playing B, so the
     result contains sigma while every new block has fewer than k elements.
     """
-    sigma = standardize(sigma.blocks)
-    if len(sigma.blocks) != 2:
-        raise PreconditionViolated("pattern must have exactly two blocks")
+    sigma, runs_a, runs_b = _two_block_data(sigma)
     k = sigma.n
     if avoids(pi, single_block_pattern(k)):
         raise PreconditionViolated("input must contain the single-block pattern")
@@ -335,7 +372,6 @@ def two_block_varphi(pi, sigma):
         return pi
     A, B = sigma.blocks
     m = len(B)
-    runs_a, runs_b = _interleaving_runs(sigma)
     out = []
     for C in pi.blocks:
         if len(C) < k:
@@ -362,18 +398,23 @@ def two_block_varphi(pi, sigma):
 
 
 def two_block_varphi_inverse(rho, sigma):
-    """Coalesce block pairs that realize sigma; inverts two_block_varphi."""
-    sigma = standardize(sigma.blocks)
-    if len(sigma.blocks) != 2:
-        raise PreconditionViolated("pattern must have exactly two blocks")
+    """Coalesce block pairs that realize sigma; inverts two_block_varphi.
+
+    A pair can realize sigma only when its smaller block is at least as
+    large as sigma's smaller block and its larger block as sigma's larger,
+    so the containment search runs on those pairs alone."""
+    sigma = _two_block_data(sigma)[0]
     k = sigma.n
     if avoids(rho, sigma):
         raise PreconditionViolated("input must contain the two-block pattern")
     if contains(rho, single_block_pattern(k)):
         return rho  # the fixed-point case
     blocks = rho.blocks
+    lo, hi = sorted(len(b) for b in sigma.blocks)
     pairs = ((i, j) for i, j in combinations(range(len(blocks)), 2)
-             if contains(standardize([blocks[i], blocks[j]]), sigma))
+             if min(len(blocks[i]), len(blocks[j])) >= lo
+             and max(len(blocks[i]), len(blocks[j])) >= hi
+             and contains(standardize([blocks[i], blocks[j]]), sigma))
     merged = components(range(len(blocks)), pairs)
     return SetPartition([[x for i in c for x in blocks[i]] for c in merged], rho.n)
 
@@ -398,36 +439,24 @@ def psi_sigma_beta(pi, k):
     """Chunk the first block into runs of k-1 and recurse on the rest.
 
     Injects avoiders of the k-singletons pattern into avoiders of the
-    single-block pattern of length k.
+    single-block pattern of length k.  The recursion runs as a loop over
+    the blocks: the rest is order-isomorphic to its standard form and the
+    chunks depend only on block sizes and order, so block t is chunked in
+    its own labels into runs of k-1-t, and at run length 1 (pattern length
+    2) what is left becomes singletons.
     """
     if k < 2:
         raise PreconditionViolated("need k >= 2")
     if len(pi.blocks) >= k:
         raise PreconditionViolated("input must have fewer than k blocks")
-    return _psi(pi, k)
-
-
-def _psi(pi, k):
-    n = pi.n
-    if n == 0:
-        return pi
-    if k == 2:
-        return SetPartition([[x] for x in range(1, n + 1)], n)
-    first = pi.blocks[0]
-    rest = pi.blocks[1:]
-    chunk = k - 1
-    q, r = divmod(len(first), chunk)
     out = []
-    if r:
-        out.append(list(first[:r]))
-    for t in range(q):
-        out.append(list(first[r + t * chunk:r + (t + 1) * chunk]))
-    if rest:
-        tail_elems = sorted(x for b in rest for x in b)
-        mapped = _psi(standardize(rest), k - 1)
-        for b in mapped.blocks:
-            out.append([tail_elems[e - 1] for e in b])
-    return SetPartition(out, n)
+    for b, chunk in zip(pi.blocks, range(k - 1, 1, -1)):
+        r = len(b) % chunk
+        if r:
+            out.append(b[:r])
+        out += [b[i:i + chunk] for i in range(r, len(b), chunk)]
+    out += [[x] for b in pi.blocks[k - 2:] for x in b]
+    return SetPartition(out, pi.n)
 
 
 def has_forbidden_pair(pi, k):
@@ -502,23 +531,24 @@ def _encode_growth(w, c_block):
 
 def _decode_growth(pi, c_block):
     """Replay the growth of pi and read off which rule placed each element."""
+    label = [0] * (pi.n + 1)  # label[x]: the position of x's block in min order
+    for j, b in enumerate(pi.blocks):
+        for x in b:
+            label[x] = j
     letters = []
-    cur = []
+    opened = 0
     for i in range(1, pi.n + 1):
-        target = pi.block_of(i)
-        if i == target[0]:
+        home = label[i]
+        if home == opened:
             letters.append("a")
-            cur.append([i])
-            continue
-        home = next(j for j, b in enumerate(cur) if b[0] == target[0])
-        if home == len(cur) - 1:
+            opened += 1
+        elif home == opened - 1:
             letters.append("b")
-        elif home == c_block % len(cur):
+        elif home == c_block % opened:
             letters.append("c")
         else:
             raise NotInImage(f"element {i} extends neither the last block "
                              "nor the one c extends")
-        cur[home].append(i)
     return ABCWord("".join(letters))
 
 
@@ -548,7 +578,8 @@ def rgf_to_R(w, k):
     """First-occurrence decomposition: each first occurrence becomes a 1 and
     the subword after it is shifted up by one, except that when all of
     1..k-1 occur the final subword is left alone."""
-    w = RGFWord(w)
+    if not isinstance(w, RGFWord):  # an RGFWord was checked when it was built
+        w = RGFWord(w)
     if max(w) > k - 1:
         raise LetterOutOfRange(f"letters must stay below {k}")
     m = max(w)
@@ -572,7 +603,8 @@ def R_to_rgf(v, k=None):
     """Split on the leading ones and shift the segments back down."""
     if k is None:
         k = v.k
-    v = RWord(v, k)
+    if not (isinstance(v, RWord) and v.k == k):  # an RWord was checked when it was built
+        v = RWord(v, k)
     ones = [i for i, x in enumerate(v) if x == 1]
     m = min(len(ones), k - 1)
     cuts = ones[:m] + [len(v)]

@@ -47,8 +47,9 @@ class SetPartition:
 
     def __init__(self, blocks, n=None):
         # assumes blocks are disjoint nonempty sets of 1..n; use from_blocks
-        # for fully validated construction
-        bs = tuple(sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0]))
+        # for fully validated construction.  Disjoint blocks differ in their
+        # first elements, so sorting the tuples orders them by minimum.
+        bs = tuple(sorted([tuple(sorted(b)) for b in blocks]))
         object.__setattr__(self, "blocks", bs)
         if n is None:
             n = sum(len(b) for b in bs)
@@ -220,15 +221,18 @@ class RGFWord(tuple):
     """A restricted growth function: a_1 = 1 and a_i <= 1 + max(prefix)."""
 
     def __new__(cls, letters):
-        letters = tuple(int(a) for a in letters)
+        word = []
         mx = 0
-        for i, a in enumerate(letters, start=1):
+        for a in letters:
+            a = int(a)
             if a < 1 or a > mx + 1:
-                raise InvalidRGF(f"letter {a} at position {i} breaks the growth rule")
-            mx = max(mx, a)
-        if not letters:
+                raise InvalidRGF(f"letter {a} at position {len(word) + 1} breaks the growth rule")
+            if a > mx:
+                mx = a
+            word.append(a)
+        if not word:
             raise InvalidRGF("empty word")
-        return super().__new__(cls, letters)
+        return super().__new__(cls, word)
 
     @classmethod
     def parse(cls, text):
@@ -385,8 +389,9 @@ def iter_compositions(total, k):
 # Named pattern families
 # =========================================================================
 
+@lru_cache(maxsize=None)
 def single_block_pattern(k):
-    """The partition of [k] with one block."""
+    """The partition of [k] with one block (shared: SetPartition is immutable)."""
     return SetPartition([range(1, k + 1)], k)
 
 

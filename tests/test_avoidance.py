@@ -51,6 +51,64 @@ def test_self_containment_witness_is_identity():
     assert containment_witness(tau, tau) == (1, 2, 3, 4)
 
 
+def _ref_witness(sigma, tau):
+    """The containment search as it was before the block-size cut and the
+    explicit stack: recursive, trying every unused sigma block for each new
+    pattern block; the first witness it finds is the one to match."""
+    tau = standardize(tau.blocks)
+    k, n = tau.n, sigma.n
+    if k > n or len(tau.blocks) > len(sigma.blocks):
+        return None
+    pb = [0] * (k + 1)
+    for ti, b in enumerate(tau.blocks):
+        for e in b:
+            pb[e] = ti
+    bound = [-1] * len(tau.blocks)
+    choice = [0] * (k + 1)
+
+    def dfs(e, low, usedmask):
+        if e > k:
+            return True
+        t = pb[e]
+        hi = n - (k - e)
+        if bound[t] >= 0:
+            for x in sigma.blocks[bound[t]]:
+                if low < x <= hi:
+                    choice[e] = x
+                    if dfs(e + 1, x, usedmask):
+                        return True
+            return False
+        for j, blk in enumerate(sigma.blocks):
+            if usedmask >> j & 1:
+                continue
+            bound[t] = j
+            for x in blk:
+                if low < x <= hi:
+                    choice[e] = x
+                    if dfs(e + 1, x, usedmask | 1 << j):
+                        return True
+            bound[t] = -1
+        return False
+
+    return tuple(choice[1:]) if dfs(1, 0, 0) else None
+
+
+def test_witness_matches_the_recursive_search():
+    taus = [tau for k in range(1, 5) for tau in iter_partitions(k)]
+    for n in range(1, 8):
+        for sigma in iter_partitions(n):
+            for tau in taus:
+                assert containment_witness(sigma, tau) == _ref_witness(sigma, tau), (sigma, tau)
+
+
+def test_witness_far_past_the_recursion_limit():
+    # the search keeps its untried choices on a stack, not on the call stack
+    sigma = SetPartition([range(1, 1501)], 1500)
+    assert containment_witness(sigma, SetPartition([range(1, 1201)], 1200)) == tuple(range(1, 1201))
+    assert containment_witness(SetPartition([[x] for x in range(1, 1201)], 1200),
+                               SetPartition([[x] for x in range(1, 1200)], 1199)) == tuple(range(1, 1200))
+
+
 def test_fast_matches_bruteforce_exhaustive():
     taus = list(iter_partitions(3))
     for sigma in iter_partitions(5):

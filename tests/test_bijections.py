@@ -176,6 +176,39 @@ def test_two_block_round_trip_all_sigma():
                 assert len(images) < codom
 
 
+def _ref_varphi_inverse(rho, sigma):
+    """two_block_varphi_inverse before the block-size cut: the containment
+    search on every block pair."""
+    blocks = rho.blocks
+    if contains(rho, single_block_pattern(sigma.n)):
+        return rho
+    parent = list(range(len(blocks)))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for i in range(len(blocks)):
+        for j in range(i + 1, len(blocks)):
+            if contains(standardize([blocks[i], blocks[j]]), sigma):
+                parent[find(i)] = find(j)
+    merged = {}
+    for i, b in enumerate(blocks):
+        merged.setdefault(find(i), []).extend(b)
+    return SetPartition(merged.values(), rho.n)
+
+
+def test_two_block_inverse_matches_every_pair_search():
+    for sigma in iter_partitions(4):
+        if len(sigma.blocks) != 2:
+            continue
+        for n in range(4, 8):
+            for rho in iter_partitions(n):
+                if contains(rho, sigma):
+                    assert two_block_varphi_inverse(rho, sigma) == _ref_varphi_inverse(rho, sigma), (rho, sigma)
+
+
 # =========================================================================
 # psi and the induction combinator
 # =========================================================================
@@ -206,6 +239,30 @@ def test_psi_injective_and_image_clean():
                 assert not has_forbidden_pair(q, k)
                 images.add(q)
             assert len(images) == len(src)
+
+
+def _ref_psi(pi, k):
+    """psi as the recursion on the standardized rest of the partition."""
+    n = pi.n
+    if n == 0:
+        return pi
+    if k == 2:
+        return SetPartition([[x] for x in range(1, n + 1)], n)
+    first, rest = pi.blocks[0], pi.blocks[1:]
+    q, r = divmod(len(first), k - 1)
+    out = [list(first[:r])] if r else []
+    out += [list(first[r + t * (k - 1):r + (t + 1) * (k - 1)]) for t in range(q)]
+    if rest:
+        tail = sorted(x for b in rest for x in b)
+        out += [[tail[e - 1] for e in b] for b in _ref_psi(standardize(rest), k - 1).blocks]
+    return SetPartition(out, n)
+
+
+def test_psi_matches_the_recursion():
+    for n in range(1, 9):
+        for p in iter_partitions(n):
+            for k in range(len(p.blocks) + 1, 7):
+                assert psi_sigma_beta(p, k) == _ref_psi(p, k), (p, k)
 
 
 def test_has_forbidden_pair_is_literal():
@@ -285,6 +342,66 @@ def test_decode_rejects_outside_image():
         decode_14_2_3(P("14/2/3"))
     with pytest.raises(NotInImage):
         decode_1_24_3(P("1/24/3"))
+
+
+def _ref_abc_words(n, star=False, doublestar=False):
+    """W_n by its definition: every string over {a, b, c}, filtered."""
+    out = []
+    for letters in product("abc", repeat=n):
+        try:
+            w = ABCWord("".join(letters))
+        except NotInW:
+            continue
+        if (not star or w.is_star()) and (not doublestar or w.is_doublestar()):
+            out.append(w)
+    return out
+
+
+def test_iter_abc_words_is_the_filter_in_order():
+    for n in range(10):
+        for flags in ({}, {"star": True}, {"doublestar": True}):
+            got = list(iter_abc_words(n, **flags))
+            assert got == _ref_abc_words(n, **flags), (n, flags)
+            assert all(type(w) is ABCWord for w in got)
+
+
+def test_iter_abc_words_far_past_the_recursion_limit():
+    # the generator grows the word in place; W_n itself is exponential, so
+    # only its first words are taken
+    first = list(islice(iter_abc_words(1100, star=True), 4))
+    a = "a" * 1100
+    assert first == [a, a[:-1] + "b", a[:-1] + "c", a[:-2] + "ba"]
+
+
+def _ref_decode(pi, c_block):
+    """The growth replay through block_of, one block search per element."""
+    letters, cur = [], []
+    for i in range(1, pi.n + 1):
+        target = pi.block_of(i)
+        if i == target[0]:
+            letters.append("a")
+            cur.append(target[0])
+            continue
+        home = cur.index(target[0])
+        if home == len(cur) - 1:
+            letters.append("b")
+        elif home == c_block % len(cur):
+            letters.append("c")
+        else:
+            return None
+    return "".join(letters)
+
+
+def test_decoders_match_the_growth_replay():
+    for n in range(1, 8):
+        for p in iter_partitions(n):
+            for dec, c_block in ((decode_14_2_3, -2), (decode_1_24_3, 0)):
+                want = _ref_decode(p, c_block)
+                if want is None:
+                    with pytest.raises(NotInImage):
+                        dec(p)
+                else:
+                    assert dec(p) == want, (p, c_block)
 
 
 def test_word_bijections_small():

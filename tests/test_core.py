@@ -1,5 +1,6 @@
 import copy
 import pickle
+import random
 from functools import lru_cache
 from itertools import islice, product
 
@@ -112,6 +113,19 @@ def test_complement():
 def test_complement_involution(word):
     p = SetPartition.from_rgf(RGFWord(word))
     assert p.complement().complement() == p
+
+
+def test_blocks_are_sorted_from_any_order():
+    # the standard form of shuffled blocks with shuffled elements, against
+    # the sort by each block's minimum
+    rng = random.Random(11)
+    for n in range(1, 8):
+        for p in iter_partitions(n):
+            blocks = [rng.sample(b, len(b)) for b in p.blocks]
+            rng.shuffle(blocks)
+            want = tuple(sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0]))
+            assert SetPartition(blocks, n).blocks == want == p.blocks
+            assert SetPartition(map(tuple, blocks)) == p
 
 
 def test_standardize():
