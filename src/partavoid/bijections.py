@@ -22,13 +22,13 @@
 #
 ###############################################################################
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
 from .core import (
     Composition,
     Matching,
+    Record,
     RGFWord,
     SetPartition,
     components,
@@ -663,12 +663,10 @@ def delta_nonsurjectivity_witness(n, k):
 # the singleton-free 14/23 core
 # =========================================================================
 
-@dataclass(frozen=True)
-class CappedCore:
-    """A singleton-free 14/23 avoider with its cap count."""
+class CappedCore(Record):
+    """A singleton-free 14/23 avoider (partition) with its cap count (caps)."""
 
-    partition: SetPartition
-    caps: int
+    __slots__ = ("partition", "caps")
 
 
 def caps_of(pi):

@@ -367,48 +367,63 @@ def cmd_classes(args):
 # argument wiring
 # =========================================================================
 
-def _build_parser():
+_SHARDS = (("--shards",), {"type": int, "default": None})
+
+# name -> (help, arguments, handler); each argument is (flags, keywords) for
+# add_argument.  Each handler looks its cmd_ function up by name at call
+# time, so a wrapper rebound over a module global later is called.
+COMMANDS = {
+    "count": ("count avoiders of a pattern", [
+        (("--pattern",), {"required": True,
+                          "help": "partition text, e.g. '1 3/2' or '13/2'"}),
+        (("--n",), {"type": int, "required": True}),
+        (("--method",), {"choices": ["oracle", "formula", "gf", "all"],
+                         "default": "oracle"}),
+        _SHARDS,
+    ], lambda args: cmd_count(args)),
+    "avoid": ("containment verdict", [
+        (("--sigma",), {"required": True, "help": "host partition text"}),
+        (("--tau",), {"required": True, "help": "pattern text"}),
+    ], lambda args: cmd_avoid(args)),
+    "verify": ("run a map's property suite", [
+        (("--map",), {"required": True, "choices": sorted(VERIFY)}),
+        (("--k",), {"type": int, "default": None}),
+        (("--n",), {"type": int, "default": None}),
+        (("--seed",), {"type": int, "default": 0}),
+    ], lambda args: cmd_verify(args)),
+    "table": ("avoider table over all patterns of [k]", [
+        (("--k",), {"type": int, "required": True}),
+        (("--n-max",), {"type": int, "dest": "n_max", "default": None}),
+        (("--format",), {"choices": ["csv", "json"], "default": "csv", "dest": "fmt"}),
+        _SHARDS,
+    ], lambda args: cmd_table(args)),
+    "classes": ("empirical Wilf classes", [
+        (("--k",), {"type": int, "required": True}),
+        (("--n-max",), {"type": int, "dest": "n_max", "default": None}),
+        (("--format",), {"choices": ["csv", "json"], "default": "json", "dest": "fmt"}),
+        _SHARDS,
+    ], lambda args: cmd_classes(args)),
+}
+
+
+def _build_parser(only=None):
+    """The parser of every subcommand, or of the one named only.  With one
+    subcommand, the metavar still lists all of them, so that a usage line
+    printed by the top parser is the same either way."""
     top = argparse.ArgumentParser(
         prog="partavoid",
         description="Exact pattern-avoidance counting for set partitions.")
-    sub = top.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("count", help="count avoiders of a pattern")
-    p.add_argument("--pattern", required=True,
-                   help="partition text, e.g. '1 3/2' or '13/2'")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--method", choices=["oracle", "formula", "gf", "all"],
-                   default="oracle")
-    p.add_argument("--shards", type=int, default=None)
-    p.set_defaults(run=cmd_count)
-
-    p = sub.add_parser("avoid", help="containment verdict")
-    p.add_argument("--sigma", required=True, help="host partition text")
-    p.add_argument("--tau", required=True, help="pattern text")
-    p.set_defaults(run=cmd_avoid)
-
-    p = sub.add_parser("verify", help="run a map's property suite")
-    p.add_argument("--map", required=True, choices=sorted(VERIFY))
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(run=cmd_verify)
-
-    p = sub.add_parser("table", help="avoider table over all patterns of [k]")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n-max", type=int, dest="n_max", default=None)
-    p.add_argument("--format", choices=["csv", "json"], default="csv",
-                   dest="fmt")
-    p.add_argument("--shards", type=int, default=None)
-    p.set_defaults(run=cmd_table)
-
-    p = sub.add_parser("classes", help="empirical Wilf classes")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n-max", type=int, dest="n_max", default=None)
-    p.add_argument("--format", choices=["csv", "json"], default="json",
-                   dest="fmt")
-    p.add_argument("--shards", type=int, default=None)
-    p.set_defaults(run=cmd_classes)
+    if only is None:
+        names, metavar = list(COMMANDS), None
+    else:
+        names, metavar = [only], "{" + ",".join(COMMANDS) + "}"
+    sub = top.add_subparsers(dest="subcommand", required=True, metavar=metavar)
+    for name in names:
+        help_text, arguments, run = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for flags, keywords in arguments:
+            p.add_argument(*flags, **keywords)
+        p.set_defaults(run=run)
     return top
 
 
@@ -425,9 +440,13 @@ def _silence_stdout():
 
 
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse reads a leading subcommand name as the subcommand, so only
+    # its parser is needed; any other argv gets the full parser
+    only = argv[0] if argv and argv[0] in COMMANDS else None
     try:
         try:
-            return _dispatch(_build_parser().parse_args(argv))
+            return _dispatch(_build_parser(only).parse_args(argv))
         finally:
             sys.stdout.flush()
     except BrokenPipeError:

@@ -64,6 +64,15 @@ class SetPartition:
         return (type(self), (self.blocks, self.n))
 
     @classmethod
+    def _standard(cls, blocks, n):
+        """The partition whose blocks are already in standard form: a tuple
+        of ascending tuples, ordered by minimum.  Nothing is checked."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "n", n)
+        return self
+
+    @classmethod
     def from_blocks(cls, blocks, n):
         """Validated constructor: blocks must partition {1..n} exactly."""
         _, seen = _disjoint_blocks(blocks)
@@ -213,6 +222,39 @@ def components(items, pairs):
     return list(comps.values())
 
 
+class Record:
+    """Base of a small immutable record whose fields are its __slots__,
+    given in order to the constructor.  Equality, hashing, repr and
+    pickling go by the fields."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        if len(values) != len(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes {len(self.__slots__)} fields")
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, *_):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _fields(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __reduce__(self):
+        return (type(self), self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
 # =========================================================================
 # RGF words
 # =========================================================================
@@ -256,19 +298,19 @@ class RGFWord(tuple):
         return f"RGFWord({self})"
 
 
-def iter_rgf_words(n, max_letter=None):
-    """All RGF words of length n in lexicographic order (optionally capped).
+def _growth_words(n, cap):
+    """The RGF words of length n with letters at most cap, in
+    lexicographic order, as one list that changes in place between yields.
 
     An odometer over the word: the last letter that may still grow grows,
     and every letter after it restarts at 1, so no recursion limit bounds n.
     """
-    cap = n if max_letter is None else max_letter
     if n < 1 or n > 1 and cap < 1:
         return
     word = [1] * n
     lim = [1] + [min(2, cap)] * (n - 1)  # the largest letter each position may take
     while True:
-        yield RGFWord(word)
+        yield word
         i = n - 1
         while i > 0 and word[i] >= lim[i]:
             i -= 1
@@ -279,10 +321,26 @@ def iter_rgf_words(n, max_letter=None):
         lim[i + 1:] = [min(max(lim[i], word[i] + 1), cap)] * (n - i - 1)
 
 
+def iter_rgf_words(n, max_letter=None):
+    """All RGF words of length n in lexicographic order (optionally capped)."""
+    for word in _growth_words(n, n if max_letter is None else max_letter):
+        yield RGFWord(word)
+
+
 def iter_partitions(n):
-    """Every partition of [n] exactly once, in lexicographic RGF order."""
-    for w in iter_rgf_words(n):
-        yield SetPartition.from_rgf(w)
+    """Every partition of [n] exactly once, in lexicographic RGF order.
+
+    Each word's blocks are built straight from its letters, with no
+    validation and no sort: the growth rule opens the blocks in order of
+    their minima and appends each element after the smaller ones."""
+    for word in _growth_words(n, n):
+        blocks = []
+        for x, a in enumerate(word, start=1):
+            if a > len(blocks):
+                blocks.append([x])
+            else:
+                blocks[a - 1].append(x)
+        yield SetPartition._standard(tuple(map(tuple, blocks)), n)
 
 
 # =========================================================================

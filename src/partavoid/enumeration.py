@@ -23,7 +23,7 @@
 from fractions import Fraction
 from math import comb, factorial, lcm
 
-from .core import falling, m_count, perfect_matchings, stirling2
+from .core import m_count, perfect_matchings, stirling2
 
 
 class SeriesError(ValueError):
@@ -89,11 +89,6 @@ class PowerSeries:
         head = ", ".join(str(c) for c in self.coeffs[:6])
         tail = ", ..." if self.N > 5 else ""
         return f"PowerSeries([{head}{tail}], N={self.N})"
-
-    def truncate(self, N):
-        if N > self.N:
-            raise ValueError(f"cannot extend order {self.N} to {N}")
-        return PowerSeries(self.coeffs[:N + 1], N)
 
     def __add__(self, other):
         other = _coerce(other, self.N)
@@ -363,12 +358,15 @@ def count_134_2(n):
 
 def count_12_3_4(n):
     """Avoiders of 12/3/4: at most 2 blocks after the first k elements
-    are chained, summed over how the chain head distributes."""
+    are chained, summed over how the chain head distributes.
+
+    The m = n - k elements after the chain form j blocks in S(m, j) ways,
+    S(m, 1) = 1 and S(m, 2) = 2^(m-1) - 1, and the chain head meets them
+    in sum_i C(j-1, i-1) k(k-1)..(k-i+1) ways: k for one block and
+    k + k(k-1) = k^2 for two."""
     total = 1
     for k in range(1, n):
-        for j in range(1, 3):
-            inner = sum(comb(j - 1, i - 1) * falling(k, i) for i in range(1, j + 1))
-            total += stirling2(n - k, j) * inner
+        total += k + k * k * (2 ** (n - k - 1) - 1)
     return total
 
 
@@ -408,12 +406,17 @@ def core_gf_14_23(N):
 
 
 def gf_coeffs_14_23(N):
-    """Avoiders of 14/23: G(z/(1-z))/(1-z) + 1/(1-z)."""
-    M = N + 2
-    G = core_gf_14_23(M)
-    inner = (monomial(1, 1, M) * geometric(M)).truncate(M)
-    F = G.compose(inner) * geometric(M) + geometric(M)
-    return F.truncate(N).integer_coeffs()
+    """Avoiders of 14/23: G(z/(1-z))/(1-z) + 1/(1-z), read off as the
+    binomial transform f_n = sum_m C(n, m) g_m + 1 of the core counts g.
+
+    An avoider of [n] is a singleton-free core on some m of its elements,
+    chosen in C(n, m) ways, with the rest singletons; the all-singleton
+    partition is the 1.  Since [z^n] z^m/(1-z)^(m+1) = C(n, m), this is
+    the series above coefficient by coefficient, in O(N^2) products
+    instead of a composition."""
+    g = core_gf_14_23(N).integer_coeffs()
+    return [sum(comb(n, m) * g[m] for m in range(n + 1)) + 1
+            for n in range(N + 1)]
 
 
 def gf_coeffs_13_24(N):

@@ -14,10 +14,10 @@
 ###############################################################################
 
 import json
-from dataclasses import dataclass, field
 
 from .avoidance import avoider_counts, avoids, count_avoiders
 from .core import (
+    Record,
     SetPartition,
     components,
     iter_partitions,
@@ -38,13 +38,11 @@ def default_horizon(k):
 # tables
 # =========================================================================
 
-@dataclass(frozen=True)
-class CountTable:
-    """Avoider counts for every pattern of [k], n = k+1 .. n_max."""
+class CountTable(Record):
+    """Avoider counts for every pattern of [k], n = k+1 .. n_max; rows maps
+    each pattern's text to its tuple of counts."""
 
-    k: int
-    n_max: int
-    rows: dict  # pattern text -> tuple of counts
+    __slots__ = ("k", "n_max", "rows")
 
     def row(self, pattern):
         if isinstance(pattern, SetPartition):
@@ -117,15 +115,11 @@ def predicted_classes(k):
 # reports
 # =========================================================================
 
-@dataclass(frozen=True)
-class WilfReport:
-    k: int
-    n_max: int
-    classes: list            # [{"members": [...], "status": ...}]
-    order_evidence: list     # [{"a":, "b":, "first_strict_n":, "direction":}]
-    conjecture_flags: dict
-    labels: list
-    anomalies: list = field(default_factory=list)
+class WilfReport(Record):
+    # classes:        [{"members": [...], "status": ...}]
+    # order_evidence: [{"a":, "b":, "first_strict_n":, "direction":}]
+    __slots__ = ("k", "n_max", "classes", "order_evidence", "conjecture_flags",
+                 "labels", "anomalies")
 
     def to_json(self):
         return json.dumps({

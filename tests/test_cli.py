@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import K4_COMPLEMENTS, K4_ROWS, K5_ROWS
 from partavoid.avoidance import avoider_counts
+from partavoid import cli
 from partavoid.cli import VERIFY, _sample, main
 from partavoid.core import SetPartition, iter_partitions
 
@@ -476,3 +477,70 @@ def test_parse_error_golden_lines(capsys, text, line):
                  ["avoid", "--sigma", "1/2", "--tau", text]):
         rc, out, err = run_fail(capsys, *argv)
         assert rc == 2 and out == "" and err == line + "\n"
+
+
+# sha256 of json.dumps([exit code, stdout, stderr]) at COLUMNS=80: help,
+# parse errors from the top parser and from a subparser, an abbreviated
+# flag, and one valid call per subcommand
+CLI_GOLDEN = [
+    ([],
+     "beacf24b351d03e7ea6f66a58fad6d2838e41dbb32e8d3a3a2727bf325771532"),
+    (["-h"],
+     "0b4f647c0d6e5e3a5bb1b1e76a8c96004a40de1dd44d496767d675d722ad85dc"),
+    (["count", "-h"],
+     "e9cb4a352b889695efca32672a1264291e14cb63cf59cf1767220165cba9b651"),
+    (["avoid", "-h"],
+     "280f3d3ac9ac86f2dcebf2c2c1a157e24c6dfdcfb787a5c19064ed82c447d078"),
+    (["verify", "-h"],
+     "0ea91515d86794c831558c175ca120d998ba51cdf3a3777f1c9b26e7af99c8a2"),
+    (["table", "-h"],
+     "511244c5c79b29d465575ed8856b1c064cd71000cf414136b494831c1d70b6e1"),
+    (["classes", "-h"],
+     "31ea985801d4800ab5da50797db612265e97c782ca9d9ac3ff61e443e96cd65b"),
+    (["junk"],
+     "590d7055515e968eed0fab1e7babed6af92ce9b219eb8be13ee0b312fb4ea8a2"),
+    (["--n", "3", "count"],
+     "9036a98ce438a4c96a8d73c63dd33e3ac729700f5c3735b02c6fcfc655c3d3ab"),
+    (["count", "--pattern", "12"],
+     "5c0c0ec1e4b152f4508fea7fd1d7f88bfd65119c10b52198de3ecc70da58609e"),
+    (["count", "--pattern", "12", "--n", "x"],
+     "26f09752c00f6db9289e760aa06bcbcc7a8d37766eb316b5bd0071478478228a"),
+    (["count", "--pattern", "12", "--n", "3", "--bogus"],
+     "0b7bac6710fa8256ad8b1e5dea870563c748ef894ddde75a00a6cdcd6cec4b1a"),
+    (["count", "--pattern", "12", "--n", "3", "extra"],
+     "8f83e41762d3c21bb7984a4d4fa92fe4e65645200513a9b476e7ae26aae96604"),
+    (["count", "--pat", "12", "--n", "3"],
+     "90f825953954db045408ae19c16f8d5c303b78bee1e163d305a16d9c6544950d"),
+    (["count", "--pattern", "14/23", "--n", "10", "--method", "gf"],
+     "9ceaaa47e2c33315ab3c8acbb1209d44085d1c3f13b49329c2744b085ebf5954"),
+    (["avoid", "--sigma", "13/2", "--tau", "1/2"],
+     "7aec87d947ec712758be67c44f788f1fcb56d27b5c2740108a9f7f9d01dfbcee"),
+    (["verify", "--map", "psi", "--k", "3", "--n", "5"],
+     "491729e4dbb471eb2b32d0f0e6eaabcb7dcfbb00a1d6a3460e08acd87d5d307c"),
+    (["table", "--k", "3", "--n-max", "5"],
+     "572f1881acc9f382b5cc3638f4052f604239af79eb05e397040161d17a221ad8"),
+    (["classes", "--k", "3", "--n-max", "5", "--format", "csv"],
+     "1929368c30add9abefe917b55d0fdc647cb3ca6de1b0449c72ceca267e5feb54"),
+]
+
+
+def _outcome(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    return list(run_any(capsys, *argv))
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="argparse words help and errors differently by "
+                           "version; the digests were taken on Python 3.11")
+@pytest.mark.parametrize("argv,digest", CLI_GOLDEN)
+def test_cli_golden_bytes(capsys, monkeypatch, argv, digest):
+    blob = json.dumps(_outcome(capsys, monkeypatch, argv))
+    assert hashlib.sha256(blob.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in CLI_GOLDEN])
+def test_one_subparser_prints_what_the_full_parser_prints(capsys, monkeypatch, argv):
+    one = _outcome(capsys, monkeypatch, argv)
+    full = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda only=None: full())
+    assert _outcome(capsys, monkeypatch, argv) == one

@@ -163,6 +163,14 @@ def test_iter_partitions_counts_and_order():
     assert words[0] == (1, 1, 1, 1) and words[-1] == (1, 2, 3, 4)
 
 
+def test_iter_partitions_is_the_rgf_listing():
+    # built straight from the growth, against each word read by from_rgf
+    for n in range(10):
+        got = list(iter_partitions(n))
+        assert got == [SetPartition.from_rgf(w) for w in iter_rgf_words(n)], n
+        assert all(type(b) is tuple for p in got for b in p.blocks)
+
+
 def test_iter_rgf_words_bounded():
     assert sum(1 for _ in iter_rgf_words(5)) == BELL[5]
     assert sum(1 for _ in iter_rgf_words(5, max_letter=2)) == 2 ** 4
@@ -265,6 +273,24 @@ def test_pickle_and_copy_round_trip():
         assert (y.k, y.f) == (2, 1)
         with pytest.raises(AttributeError):
             y.n = 7
+
+
+def test_records_are_values():
+    from partavoid.bijections import CappedCore
+    from partavoid.wilf import CountTable
+    core = CappedCore(SetPartition.parse("14/23"), 2)
+    table = CountTable(3, 4, {"123": (14,)})
+    assert (core.partition, core.caps) == (SetPartition.parse("14/23"), 2)
+    assert core == CappedCore(SetPartition.parse("14/23"), 2) != CappedCore(core.partition, 1)
+    assert len({core, CappedCore(core.partition, 2)}) == 1
+    assert repr(table) == "CountTable(k=3, n_max=4, rows={'123': (14,)})"
+    for x in (core, table):
+        for y in _copies(x):
+            assert y == x and type(y) is type(x)
+        with pytest.raises(AttributeError):
+            x.k = 7
+    with pytest.raises(TypeError):
+        CappedCore(core.partition)
 
 
 @given(rgf_words)

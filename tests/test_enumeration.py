@@ -5,7 +5,7 @@ from math import comb
 import pytest
 
 from partavoid.avoidance import avoids, count_avoiders
-from partavoid.core import SetPartition, iter_partitions
+from partavoid.core import SetPartition, falling, iter_partitions, stirling2
 from partavoid.enumeration import (
     DEN_14_2_3,
     DEN_1_24_3,
@@ -35,6 +35,7 @@ from partavoid.enumeration import (
     gf_coeffs_1_24_3,
     gf_coeffs_rational,
     h_series_check,
+    monomial,
     _poly_div_one_minus_t,
 )
 from partavoid.bijections import generate_14_23_core
@@ -289,6 +290,21 @@ def test_double_and_triple_sums(k4_rows):
         assert count_12_3_4(n) == k4_rows["12/3/4"][n - 1]
 
 
+def _ref_count_12_3_4(n):
+    # reference: S(m, 1) and S(m, 2) from the stirling2 table
+    total = 1
+    for k in range(1, n):
+        for j in range(1, 3):
+            inner = sum(comb(j - 1, i - 1) * falling(k, i) for i in range(1, j + 1))
+            total += stirling2(n - k, j) * inner
+    return total
+
+
+def test_count_12_3_4_matches_the_stirling_sum():
+    for n in range(1, 121):
+        assert count_12_3_4(n) == _ref_count_12_3_4(n), n
+
+
 def test_formulas_match_oracle_directly():
     # belt and braces for one mid-size n not present in the frozen table
     n = 11
@@ -316,6 +332,19 @@ def test_gf_13_24_is_catalan(k4_rows, catalan):
 
 def test_gf_14_23(k4_rows):
     assert gf_coeffs_14_23(10) == [1] + list(k4_rows["14/23"])
+
+
+def _ref_gf_coeffs_14_23(N):
+    # reference: G(z/(1-z))/(1-z) + 1/(1-z) through compose
+    M = N + 2
+    G = core_gf_14_23(M)
+    F = G.compose(monomial(1, 1, M) * geometric(M)) * geometric(M) + geometric(M)
+    return F.integer_coeffs()[:N + 1]
+
+
+@pytest.mark.parametrize("N", [0, 1, 2, 3, 10, 80, 200])
+def test_gf_14_23_matches_the_composition(N):
+    assert gf_coeffs_14_23(N) == _ref_gf_coeffs_14_23(N)
 
 
 def test_gfs_agree_with_bell_below_threshold(bell):
