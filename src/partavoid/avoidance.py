@@ -52,10 +52,14 @@ def containment_witness(sigma, tau):
     depth-first search, maintaining the partial correspondence between
     pattern blocks and sigma blocks; branches that cannot reach k elements,
     that would merge two pattern blocks or that open a pattern block on a
-    smaller sigma block are cut.  The search keeps one list of untried
-    choices per pattern element on an explicit stack, first choice last, so
-    it tries them in the order of a recursive search, finds the same first
-    witness, and no recursion limit bounds k.
+    smaller sigma block are cut.  Each pattern element tries only the least
+    element above the last choice in each sigma block it may take: with the
+    block map fixed, every completion after a larger element of that block
+    is also one after the least, so the larger ones can only fail where the
+    least failed.  The search keeps one list of untried choices per pattern
+    element on an explicit stack, first choice last, so it tries them in
+    the order of a recursive search, finds the same first witness, and no
+    recursion limit bounds k.
     """
     tau, k, pb, opens = _pattern_data(tau)
     n = sigma.n
@@ -74,22 +78,14 @@ def containment_witness(sigma, tau):
         hi = n - (k - e)  # leave room for the remaining pattern elements
         size = opens[e]
         level = []
-        if size:
-            for j, blk in enumerate(blocks):
-                if mask >> j & 1 or len(blk) < size:
-                    continue
-                for x in blk:
-                    if x > low:
-                        if x > hi:
-                            break
-                        level.append((x, j))
-        else:
-            j = bound[pb[e]]
+        for j in (range(len(blocks)) if size else (bound[pb[e]],)):
+            if size and (mask >> j & 1 or len(blocks[j]) < size):
+                continue
             for x in blocks[j]:
                 if x > low:
-                    if x > hi:
-                        break
-                    level.append((x, j))
+                    if x <= hi:
+                        level.append((x, j))
+                    break
         level.reverse()
         untried[e] = level
         used[e] = mask

@@ -15,13 +15,13 @@
 #
 ###############################################################################
 
-import argparse
 import json
 import os
 import random
 import sys
 from functools import partial
 from itertools import islice
+from types import SimpleNamespace
 
 from .avoidance import (
     avoids,
@@ -45,6 +45,7 @@ from .bijections import (
     phi_134_2_inverse,
     phi_a,
     phi_a_inverse,
+    PreconditionViolated,
     psi_sigma_beta,
     R_to_rgf,
     rgf_to_R,
@@ -210,9 +211,11 @@ def _verify_two_block(k, n, seed):
         images = set()
         for pi in src:
             out = two_block_varphi(pi, sigma)
-            if not contains(out, sigma):
+            try:  # the inverse first checks that out contains sigma
+                back = two_block_varphi_inverse(out, sigma)
+            except PreconditionViolated:
                 return f"image avoids sigma={sigma} pi={pi}"
-            if two_block_varphi_inverse(out, sigma) != pi:
+            if back != pi:
                 return f"inverse mismatch sigma={sigma} pi={pi}"
             images.add(out)
         if len(images) != len(src):
@@ -406,10 +409,45 @@ COMMANDS = {
 }
 
 
+def _parse_plain(argv):
+    """The namespace argparse would build from argv, read off COMMANDS, when
+    argv is plain: a subcommand name, then known --flag value pairs, each
+    flag at most once and every required flag among them, and each value
+    passing its flag's type and choices without starting with '-'.  Any
+    other argv gives None."""
+    if not argv or argv[0] not in COMMANDS or len(argv) % 2 == 0:
+        return None
+    _, arguments, run = COMMANDS[argv[0]]
+    given = dict(zip(argv[1::2], argv[2::2]))
+    if 2 * len(given) + 1 != len(argv):  # a flag given twice
+        return None
+    args = SimpleNamespace(subcommand=argv[0], run=run)
+    for (flag,), keywords in arguments:
+        dest = keywords.get("dest", flag.lstrip("-").replace("-", "_"))
+        value = given.pop(flag, None)
+        if value is None:
+            if keywords.get("required"):
+                return None
+            value = keywords.get("default")
+        elif value.startswith("-"):
+            return None
+        else:
+            try:
+                value = keywords.get("type", str)(value)
+            except (TypeError, ValueError):
+                return None
+            if value not in keywords.get("choices", (value,)):
+                return None
+        setattr(args, dest, value)
+    return None if given else args  # anything left is no flag of the subcommand
+
+
 def _build_parser(only=None):
     """The parser of every subcommand, or of the one named only.  With one
     subcommand, the metavar still lists all of them, so that a usage line
     printed by the top parser is the same either way."""
+    import argparse  # only here, so a plain argv never loads it
+
     top = argparse.ArgumentParser(
         prog="partavoid",
         description="Exact pattern-avoidance counting for set partitions.")
@@ -441,12 +479,18 @@ def _silence_stdout():
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
-    # argparse reads a leading subcommand name as the subcommand, so only
-    # its parser is needed; any other argv gets the full parser
-    only = argv[0] if argv and argv[0] in COMMANDS else None
+    # a plain argv (see _parse_plain) is parsed off COMMANDS and never loads
+    # argparse; argparse parses any other argv, so it alone prints usage,
+    # help and every parse error.  It reads a leading subcommand name as the
+    # subcommand, so only that one's parser is needed; any other argv gets
+    # the full parser.
+    args = _parse_plain(argv)
     try:
         try:
-            return _dispatch(_build_parser(only).parse_args(argv))
+            if args is None:
+                only = argv[0] if argv and argv[0] in COMMANDS else None
+                args = _build_parser(only).parse_args(argv)
+            return _dispatch(args)
         finally:
             sys.stdout.flush()
     except BrokenPipeError:

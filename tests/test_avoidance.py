@@ -52,9 +52,10 @@ def test_self_containment_witness_is_identity():
 
 
 def _ref_witness(sigma, tau):
-    """The containment search as it was before the block-size cut and the
-    explicit stack: recursive, trying every unused sigma block for each new
-    pattern block; the first witness it finds is the one to match."""
+    """The containment search as it was before the block-size cut, the
+    explicit stack and the least-element cut: recursive, trying every unused
+    sigma block for each new pattern block and every admissible element of
+    each block; the first witness it finds is the one to match."""
     tau = standardize(tau.blocks)
     k, n = tau.n, sigma.n
     if k > n or len(tau.blocks) > len(sigma.blocks):
@@ -99,6 +100,10 @@ def test_witness_matches_the_recursive_search():
         for sigma in iter_partitions(n):
             for tau in taus:
                 assert containment_witness(sigma, tau) == _ref_witness(sigma, tau), (sigma, tau)
+    taus = list(iter_partitions(5))
+    for sigma in iter_partitions(7):
+        for tau in taus:
+            assert containment_witness(sigma, tau) == _ref_witness(sigma, tau), (sigma, tau)
 
 
 def test_witness_far_past_the_recursion_limit():

@@ -1,8 +1,12 @@
 import hashlib
+import importlib.util
 import io
 import json
+import os
+import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -544,3 +548,98 @@ def test_one_subparser_prints_what_the_full_parser_prints(capsys, monkeypatch, a
     full = cli._build_parser
     monkeypatch.setattr(cli, "_build_parser", lambda only=None: full())
     assert _outcome(capsys, monkeypatch, argv) == one
+
+
+# =========================================================================
+# the plain path: argv parsed off COMMANDS, without argparse
+# =========================================================================
+
+def _plain_or_none(argv):
+    """_parse_plain(argv), after checking that it is None or equal to what
+    argparse builds, and None wherever argparse prints help or an error."""
+    plain = cli._parse_plain(argv)
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            full = cli._build_parser().parse_args(argv)
+    except SystemExit:
+        assert plain is None, argv
+        return None
+    assert plain is None or vars(plain) == vars(full), argv
+    return plain
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in CLI_GOLDEN])
+def test_plain_parse_is_argparse_or_none_on_the_golden_argv(argv):
+    _plain_or_none(argv)
+
+
+# argv that argparse accepts, or that no CLI_GOLDEN argv covers
+@pytest.mark.parametrize("argv", [
+    ["count", "--pat", "12", "--n", "3"],
+    ["count", "--pattern=12", "--n", "3"],
+    ["count", "--pattern", "12", "--n", "3", "--n", "4"],
+    ["count", "--pattern", "12", "--n", "-3"],
+    ["count", "--pattern", "12", "--n", "3", "--method", "egf"],
+    ["count", "--pattern", "12", "--n", "3", "--", "--method", "gf"],
+    ["table", "--k", "4", "--n", "6"],
+    ["verify", "--map", "psi", "-h"],
+])
+def test_plain_parse_leaves_other_argv_to_argparse(argv):
+    assert cli._parse_plain(argv) is None
+
+
+def _benchmark_argv():
+    # every command of two passes of each benchmark workload, at three seeds
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [cmd.argv for make in workloads.WORKLOADS.values() for seed in range(3)
+            for index in range(2) for cmd in make(seed).make_pass(index)]
+
+
+def test_plain_parse_takes_every_benchmark_argv():
+    for argv in _benchmark_argv():
+        assert _plain_or_none(argv) is not None, argv
+
+
+@st.composite
+def _argv_rewritten(draw):
+    """An argv of _argv, with its flag pairs shuffled and now and then one
+    flag abbreviated, written --flag=value, repeated or given a negative
+    or dash-led value."""
+    argv = draw(_argv())
+    pairs = draw(st.permutations([argv[i:i + 2] for i in range(1, len(argv), 2)]))
+    if pairs and draw(st.booleans()):
+        i = draw(st.integers(0, len(pairs) - 1))
+        flag, value = pairs[i]
+        pairs[i] = draw(st.sampled_from([
+            [flag[:-1], value], [f"{flag}={value}"], [flag, value, flag, value],
+            [flag, "-" + value], [flag, "--"], [value]]))
+    return argv[:1] + [word for pair in pairs for word in pair]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_argv(), _argv_rewritten()))
+def test_plain_parse_is_argparse_or_none_on_fuzzed_argv(argv):
+    _plain_or_none(argv)
+
+
+def test_plain_commands_never_import_argparse():
+    # one plain command per subcommand in a fresh interpreter
+    script = """
+import sys
+from partavoid.cli import main
+for argv in (["count", "--pattern", "12", "--n", "3", "--method", "formula"],
+             ["avoid", "--sigma", "13/2", "--tau", "1/2"],
+             ["verify", "--map", "psi", "--k", "3", "--n", "5"],
+             ["table", "--k", "3", "--n-max", "5"],
+             ["classes", "--k", "3", "--n-max", "5", "--format", "csv"]):
+    assert main(argv) == 0, argv
+assert "argparse" not in sys.modules
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("1\nCONTAINS\nS = 1 2\npass: psi (k=3, n=5)\n")
