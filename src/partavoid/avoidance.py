@@ -14,8 +14,9 @@
 #  and a prefix's future depends on its embeddings alone.  So the count
 #  (avoider_counts) goes level by level and merges the prefixes that have
 #  the same embeddings up to a renaming of host blocks, while the listing
-#  (iter_avoiders) walks every prefix, cut at the first containment, and is
-#  the oracle the count is tested against.
+#  (iter_avoiders) walks every prefix, cut at the first containment, keeps
+#  only the prefix's RGF word, builds each avoider from it with core's
+#  builder, and is the oracle the count is tested against.
 #
 ###############################################################################
 
@@ -416,39 +417,33 @@ def iter_avoiders(n, tau):
     """Every partition of [n] that avoids tau, in lexicographic RGF order.
 
     A walk over every prefix with the transition of _placer, keeping the
-    blocks of the current prefix as it goes: a prefix that contains the
+    RGF word of the current prefix as it goes: a prefix that contains the
     pattern is cut with its whole subtree, so no partition is searched from
     scratch.  It is the oracle avoider_counts is tested against.  Pending
-    nodes wait on an explicit stack, children pushed last to first so that
-    they come off in RGF order, and no recursion limit bounds n.
+    nodes wait on an explicit stack with the block count of their prefix,
+    children pushed last to first so that they come off in RGF order, and
+    no recursion limit bounds n.
     """
     if n < 1:
         return
     tau, k, pb, _ = _pattern_data(tau)
     place = _placer(k, pb)
-    blocks = []
-    path = []  # the block of each element of the prefix in blocks
+    word = []
     first = place({(): 0}, 0, k - n + 1)
-    stack = [] if first is None else [(1, 0, first)]  # (element, its block, states)
+    # (element, its block, the blocks of its prefix, states)
+    stack = [] if first is None else [(1, 0, 1, first)]
     while stack:
-        s, bi, states = stack.pop()
-        while len(path) >= s:  # back up to the parent's prefix, [s - 1]
-            b = path.pop()
-            blocks[b].pop()
-            if not blocks[b]:
-                blocks.pop()
-        if bi == len(blocks):
-            blocks.append([])
-        blocks[bi].append(s)
-        path.append(bi)
+        s, bi, opened, states = stack.pop()
+        del word[s - 1:]  # back up to the parent's prefix, [s - 1]
+        word.append(bi + 1)
         if s == n:
-            yield SetPartition(blocks, n)
+            yield SetPartition._from_word(word)
             continue
         need = k - (n - s - 1)
-        for b in range(len(blocks), -1, -1):
+        for b in range(opened, -1, -1):
             child = place(states, b, need)
             if child is not None:
-                stack.append((s + 1, b, child))
+                stack.append((s + 1, b, opened + (b == opened), child))
 
 
 __all__ = [

@@ -20,17 +20,23 @@
 #  * phi_134_2 (+ inverse): the composition-times-matching decomposition of
 #    134/2 avoiders.
 #
+#  The word listings (iter_abc_words, iter_r_words) state only their
+#  alphabet rules and grow through core's odometer; the encoders build their
+#  partitions through core's RGF builder, and the decoders read their
+#  letters off core's to_rgf.
+#
 ###############################################################################
 
+from collections import namedtuple
 from functools import lru_cache
 from itertools import combinations
 
 from .core import (
     Composition,
     Matching,
-    Record,
     RGFWord,
     SetPartition,
+    _growth_words,
     components,
     single_block_pattern,
     singletons_pattern,
@@ -123,43 +129,28 @@ class ABCWord(str):
 
 def iter_abc_words(n, star=False, doublestar=False):
     """All words of W_n, optionally only those of W_n* or W_n**, in
-    lexicographic order (a < b < c).
+    lexicographic order (a < b < c), grown letter by letter (see
+    core._growth_words) so that no string outside the set is built.
 
-    An odometer over the word that only ever holds a valid prefix: the
-    last letter that can grow takes its next allowed letter and every
-    letter after it restarts at a, which every valid prefix allows, so no
-    string outside the set is built and no recursion limit bounds n.  A c
-    needs two a's before it; under star the c before it may not sit exactly
-    one a back; under doublestar every c sits after the same number of a's,
-    and a b may not follow a c that has three or more a's before it.
+    After a prefix, a is always allowed, and b too, except that under
+    doublestar a b may not follow a c that has three or more a's before it.
+    A c needs two a's before it; under star the c before it may not sit
+    exactly one a back, and under doublestar every c sits after the same
+    number of a's, so no a may come between it and the c before it.
     """
-    if n < 1:
-        return
-    word = ["a"] * n
-    a_before = list(range(n))  # a_before[i]: the a's in word[:i]
-    last_c = [-2] * n  # last_c[i]: the a's before the last c in word[:i]; -2 for none
+    def letters(prefix):
+        a = prefix.count("a")
+        allowed = "a" if doublestar and prefix[-1] == "c" and a >= 3 else "ab"
+        if a >= 2:
+            since = None  # the a's after the last c, if there is one
+            if "c" in prefix:
+                since = prefix[len(prefix) - prefix[::-1].index("c"):].count("a")
+            if not (star and since == 1 or doublestar and since):
+                allowed += "c"
+        return allowed
 
-    def allowed(i, letter):
-        a = a_before[i]
-        if letter == "b":
-            return not (doublestar and word[i - 1] == "c" and a >= 3)
-        return a >= 2 and not (star and last_c[i] == a - 1) \
-            and not (doublestar and last_c[i] not in (-2, a))
-
-    while True:
-        yield ABCWord("".join(word))
-        i = n - 1
-        while i > 0:
-            nxt = next((c for c in "bc" if c > word[i] and allowed(i, c)), None)
-            if nxt:
-                break
-            i -= 1
-        if i == 0:
-            return
-        word[i] = nxt
-        word[i + 1:] = ["a"] * (n - i - 1)
-        a_before[i + 1:] = range(a_before[i], a_before[i] + n - i - 1)
-        last_c[i + 1:] = [a_before[i] if nxt == "c" else last_c[i]] * (n - i - 1)
+    for word in _growth_words(n, "a", letters):  # each one in W_n, so not checked again
+        yield str.__new__(ABCWord, "".join(word))
 
 
 class RWord(tuple):
@@ -198,21 +189,17 @@ class RWord(tuple):
 
 def iter_r_words(n, k):
     """All valid words of length n over {1..k-1} with the ones condition, in
-    lexicographic order: an odometer over the word, as iter_rgf_words."""
-    if n < 1 or k < 2:
+    lexicographic order, grown letter by letter as iter_rgf_words."""
+    if k < 2:
         return
-    word = [1] * n
-    ones = list(range(n))  # ones[i] = the number of 1's in word[:i]
-    while True:
-        yield RWord(word, k)
-        i = n - 1
-        while i >= 0 and (word[i] > ones[i] or word[i] >= k - 1):
-            i -= 1
-        if i < 0:
-            return
-        word[i] += 1
-        word[i + 1:] = [1] * (n - i - 1)
-        ones[i + 1:] = range(ones[i], ones[i] + n - i - 1)
+
+    def letters(prefix):  # at most k - 1, and at most 1 + the 1's before
+        return range(1, min(k - 1, prefix.count(1) + 1) + 1)
+
+    for word in _growth_words(n, 1, letters):  # each one valid, so not checked again
+        v = tuple.__new__(RWord, word)
+        v.k = k
+        yield v
 
 
 # =========================================================================
@@ -422,7 +409,7 @@ def two_block_varphi_inverse(rho, sigma):
 def two_block_gamma(sigma, n):
     """The witness partition A / B+{k+1} / singletons that the splitting map
     never produces (meaningful when |B|+1 < k)."""
-    sigma = standardize(sigma.blocks)
+    sigma = _two_block_data(sigma)[0]
     A, B = sigma.blocks
     k = sigma.n
     if n <= k:
@@ -519,32 +506,29 @@ def lex_rank_family(alpha, target):
 def _encode_growth(w, c_block):
     """a: open a singleton; b: extend the last block; c: extend the block
     of index c_block among those opened so far."""
-    w = ABCWord(w)
-    blocks = []
-    for i, ch in enumerate(w, start=1):
+    word = []
+    opened = 0
+    for ch in ABCWord(w):
         if ch == "a":
-            blocks.append([i])
+            opened += 1
+            word.append(opened)
         else:
-            blocks[-1 if ch == "b" else c_block].append(i)
-    return SetPartition(blocks, len(w))
+            word.append(opened if ch == "b" else c_block % opened + 1)
+    return SetPartition._from_word(word)
 
 
 def _decode_growth(pi, c_block):
-    """Replay the growth of pi and read off which rule placed each element."""
-    label = [0] * (pi.n + 1)  # label[x]: the position of x's block in min order
-    for j, b in enumerate(pi.blocks):
-        for x in b:
-            label[x] = j
+    """Read off from pi's RGF word which rule placed each element."""
     letters = []
     opened = 0
-    for i in range(1, pi.n + 1):
-        home = label[i]
-        if home == opened:
+    # the empty partition has no RGF word, and ABCWord refuses the empty one
+    for i, home in enumerate(pi.to_rgf() if pi.n else (), start=1):
+        if home > opened:
             letters.append("a")
-            opened += 1
-        elif home == opened - 1:
+            opened = home
+        elif home == opened:
             letters.append("b")
-        elif home == c_block % opened:
+        elif home == c_block % opened + 1:
             letters.append("c")
         else:
             raise NotInImage(f"element {i} extends neither the last block "
@@ -620,8 +604,9 @@ def R_to_rgf(v, k=None):
 
 
 def delta_insertion_encode(pi, k):
-    """Replay the growth of pi, encoding each step by which of the k-2
-    rightmost blocks received the new element (or 1 for a new singleton).
+    """Encode each step of the growth of pi by which of the k-2 rightmost
+    blocks received the new element (or 1 for a new singleton): from the RGF
+    word, an element of block t with m blocks open before it gets m - t + 2.
 
     Defined exactly on the partitions buildable under that insertion rule;
     every avoider of the spanning-doubleton pattern 1k/2/../(k-1) is.
@@ -629,19 +614,17 @@ def delta_insertion_encode(pi, k):
     if k < 3:
         raise PreconditionViolated("need k >= 3")
     letters = []
-    mins_seen = []
-    for i in range(1, pi.n + 1):
-        target = pi.block_of(i)
-        if i == target[0]:
+    opened = 0
+    # the empty partition has no RGF word, and RWord refuses the empty one
+    for i, t in enumerate(pi.to_rgf() if pi.n else (), start=1):
+        if t > opened:
             letters.append(1)
-            mins_seen.append(i)
+            opened = t
             continue
-        blocks_so_far = len(mins_seen)
-        t = sorted(mins_seen).index(target[0]) + 1  # block index in min order
-        letter = blocks_so_far - t + 2
+        letter = opened - t + 2
         if letter > k - 1:
             raise PreconditionViolated(
-                f"element {i} lands {blocks_so_far - t} blocks from the right; "
+                f"element {i} lands {opened - t} blocks from the right; "
                 f"only {k - 2} rightmost blocks are reachable")
         letters.append(letter)
     return RWord(letters, k)
@@ -663,10 +646,10 @@ def delta_nonsurjectivity_witness(n, k):
 # the singleton-free 14/23 core
 # =========================================================================
 
-class CappedCore(Record):
+class CappedCore(namedtuple("CappedCore", "partition caps")):
     """A singleton-free 14/23 avoider (partition) with its cap count (caps)."""
 
-    __slots__ = ("partition", "caps")
+    __slots__ = ()
 
 
 def caps_of(pi):

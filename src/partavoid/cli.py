@@ -442,22 +442,15 @@ def _parse_plain(argv):
     return None if given else args  # anything left is no flag of the subcommand
 
 
-def _build_parser(only=None):
-    """The parser of every subcommand, or of the one named only.  With one
-    subcommand, the metavar still lists all of them, so that a usage line
-    printed by the top parser is the same either way."""
+def _build_parser():
+    """The parser of every subcommand."""
     import argparse  # only here, so a plain argv never loads it
 
     top = argparse.ArgumentParser(
         prog="partavoid",
         description="Exact pattern-avoidance counting for set partitions.")
-    if only is None:
-        names, metavar = list(COMMANDS), None
-    else:
-        names, metavar = [only], "{" + ",".join(COMMANDS) + "}"
-    sub = top.add_subparsers(dest="subcommand", required=True, metavar=metavar)
-    for name in names:
-        help_text, arguments, run = COMMANDS[name]
+    sub = top.add_subparsers(dest="subcommand", required=True)
+    for name, (help_text, arguments, run) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         for flags, keywords in arguments:
             p.add_argument(*flags, **keywords)
@@ -481,15 +474,12 @@ def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     # a plain argv (see _parse_plain) is parsed off COMMANDS and never loads
     # argparse; argparse parses any other argv, so it alone prints usage,
-    # help and every parse error.  It reads a leading subcommand name as the
-    # subcommand, so only that one's parser is needed; any other argv gets
-    # the full parser.
+    # help and every parse error.
     args = _parse_plain(argv)
     try:
         try:
             if args is None:
-                only = argv[0] if argv and argv[0] in COMMANDS else None
-                args = _build_parser(only).parse_args(argv)
+                args = _build_parser().parse_args(argv)
             return _dispatch(args)
         finally:
             sys.stdout.flush()

@@ -8,6 +8,14 @@
 #  each block.  Text format: "1 3/2 5 6/4", or compact "13/25/4" when every
 #  element is a single digit.
 #
+#  The growth encoding (element i goes to block number a_i) lives here
+#  alone: one odometer, _growth_words, grows words letter by letter under an
+#  alphabet rule given as a function of the prefix (the RGF words state
+#  theirs here, the R-words and the abc words theirs in bijections); one
+#  builder, SetPartition._from_word, turns a word into its partition in
+#  standard form without a sort; one reader, to_rgf, turns it back; and
+#  RGFWord is the one check of the growth rule.
+#
 ###############################################################################
 
 from functools import lru_cache
@@ -73,6 +81,20 @@ class SetPartition:
         return self
 
     @classmethod
+    def _from_word(cls, word):
+        """The partition with element i in block word[i-1], for a word that
+        keeps the growth rule.  Nothing is checked and nothing is sorted: the
+        rule opens the blocks in order of their minima, and each element is
+        appended after the smaller ones."""
+        blocks = []
+        for x, a in enumerate(word, start=1):
+            if a > len(blocks):
+                blocks.append([x])
+            else:
+                blocks[a - 1].append(x)
+        return cls._standard(tuple(map(tuple, blocks)), len(word))
+
+    @classmethod
     def from_blocks(cls, blocks, n):
         """Validated constructor: blocks must partition {1..n} exactly."""
         _, seen = _disjoint_blocks(blocks)
@@ -83,20 +105,9 @@ class SetPartition:
     @classmethod
     def from_rgf(cls, letters):
         """Build the partition with i in block number letters[i-1]."""
-        letters = list(letters)
-        if not letters or letters[0] != 1:
-            raise InvalidRGF("word must start with 1")
-        mx = 0
-        blocks = []
-        for i, a in enumerate(letters, start=1):
-            if not 1 <= a <= mx + 1:
-                raise InvalidRGF(f"letter {a} at position {i} exceeds 1+max of prefix")
-            if a == mx + 1:
-                blocks.append([i])
-                mx += 1
-            else:
-                blocks[a - 1].append(i)
-        return cls(blocks, len(letters))
+        if not isinstance(letters, RGFWord):  # an RGFWord was checked when it was built
+            letters = RGFWord(letters)
+        return cls._from_word(letters)
 
     @classmethod
     def parse(cls, text):
@@ -123,11 +134,15 @@ class SetPartition:
         return cls.from_blocks(blocks, n)
 
     def to_rgf(self):
+        """The RGF word: the letter of element x is the number of its block.
+        The blocks are in standard form, so it keeps the growth rule."""
+        if not self.n:
+            raise InvalidRGF("empty word")
         letters = [0] * self.n
         for j, b in enumerate(self.blocks, start=1):
             for x in b:
                 letters[x - 1] = j
-        return RGFWord(letters)
+        return tuple.__new__(RGFWord, letters)
 
     def complement(self):
         """Replace each element x by n+1-x; an involution on partitions of [n]."""
@@ -222,39 +237,6 @@ def components(items, pairs):
     return list(comps.values())
 
 
-class Record:
-    """Base of a small immutable record whose fields are its __slots__,
-    given in order to the constructor.  Equality, hashing, repr and
-    pickling go by the fields."""
-
-    __slots__ = ()
-
-    def __init__(self, *values):
-        if len(values) != len(self.__slots__):
-            raise TypeError(f"{type(self).__name__} takes {len(self.__slots__)} fields")
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, *_):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def _fields(self):
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        return type(other) is type(self) and self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __reduce__(self):
-        return (type(self), self._fields())
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__name__}({fields})"
-
-
 # =========================================================================
 # RGF words
 # =========================================================================
@@ -298,49 +280,57 @@ class RGFWord(tuple):
         return f"RGFWord({self})"
 
 
-def _growth_words(n, cap):
-    """The RGF words of length n with letters at most cap, in
-    lexicographic order, as one list that changes in place between yields.
+def _growth_words(n, first, letters):
+    """The words of length n that start with first and whose every later
+    letter is one of letters(prefix), the letters allowed after its prefix,
+    in lexicographic order by the order letters lists them, as one list
+    that changes in place between yields.
 
-    An odometer over the word: the last letter that may still grow grows,
-    and every letter after it restarts at 1, so no recursion limit bounds n.
+    An odometer over the word: each position keeps the letters its prefix
+    allows it and it has not taken yet.  The last position with one left
+    takes the next, and every position after it restarts at first, which
+    every allowed prefix must allow and list first.  So letters is called
+    once per prefix, no word outside the set is built, and no recursion
+    limit bounds n.
     """
-    if n < 1 or n > 1 and cap < 1:
+    if n < 1:
         return
-    word = [1] * n
-    lim = [1] + [min(2, cap)] * (n - 1)  # the largest letter each position may take
+    word = [first] * n
+    left = [iter(())] * n  # left[i]: the letters position i has still to take
+    i = 1
     while True:
+        for j in range(i, n):
+            word[j] = first
+            left[j] = iter(letters(word[:j])[1:])
         yield word
         i = n - 1
-        while i > 0 and word[i] >= lim[i]:
+        while i and (letter := next(left[i], None)) is None:
             i -= 1
-        if i == 0:
+        if not i:
             return
-        word[i] += 1
-        word[i + 1:] = [1] * (n - i - 1)
-        lim[i + 1:] = [min(max(lim[i], word[i] + 1), cap)] * (n - i - 1)
+        word[i] = letter
+        i += 1
 
 
 def iter_rgf_words(n, max_letter=None):
-    """All RGF words of length n in lexicographic order (optionally capped)."""
-    for word in _growth_words(n, n if max_letter is None else max_letter):
-        yield RGFWord(word)
+    """All RGF words of length n in lexicographic order, optionally with
+    letters at most max_letter (the word 1 of length one is listed whatever
+    the cap)."""
+    cap = n if max_letter is None else max_letter
+    if n > 1 and cap < 1:
+        return
+
+    def letters(prefix):  # at most cap, and at most 1 + the largest before
+        return range(1, min(cap, max(prefix) + 1) + 1)
+
+    for word in _growth_words(n, 1, letters):
+        yield tuple.__new__(RGFWord, word)
 
 
 def iter_partitions(n):
-    """Every partition of [n] exactly once, in lexicographic RGF order.
-
-    Each word's blocks are built straight from its letters, with no
-    validation and no sort: the growth rule opens the blocks in order of
-    their minima and appends each element after the smaller ones."""
-    for word in _growth_words(n, n):
-        blocks = []
-        for x, a in enumerate(word, start=1):
-            if a > len(blocks):
-                blocks.append([x])
-            else:
-                blocks[a - 1].append(x)
-        yield SetPartition._standard(tuple(map(tuple, blocks)), n)
+    """Every partition of [n] exactly once, in lexicographic RGF order."""
+    for word in iter_rgf_words(n):
+        yield SetPartition._from_word(word)
 
 
 # =========================================================================
@@ -356,6 +346,10 @@ class Matching(SetPartition):
         super().__init__(blocks, n)
         if any(len(b) > 2 for b in self.blocks):
             raise PartitionError("matching blocks must have size 1 or 2")
+
+    @classmethod
+    def _standard(cls, blocks, n):
+        return cls(blocks, n)  # so that from_rgf checks the block sizes too
 
     @property
     def k(self):

@@ -14,10 +14,10 @@
 ###############################################################################
 
 import json
+from collections import namedtuple
 
 from .avoidance import avoider_counts, avoids, count_avoiders
 from .core import (
-    Record,
     SetPartition,
     components,
     iter_partitions,
@@ -38,11 +38,11 @@ def default_horizon(k):
 # tables
 # =========================================================================
 
-class CountTable(Record):
+class CountTable(namedtuple("CountTable", "k n_max rows")):
     """Avoider counts for every pattern of [k], n = k+1 .. n_max; rows maps
     each pattern's text to its tuple of counts."""
 
-    __slots__ = ("k", "n_max", "rows")
+    __slots__ = ()
 
     def row(self, pattern):
         if isinstance(pattern, SetPartition):
@@ -115,22 +115,14 @@ def predicted_classes(k):
 # reports
 # =========================================================================
 
-class WilfReport(Record):
+class WilfReport(namedtuple("WilfReport", "k n_max classes order_evidence "
+                                         "conjecture_flags labels anomalies")):
     # classes:        [{"members": [...], "status": ...}]
     # order_evidence: [{"a":, "b":, "first_strict_n":, "direction":}]
-    __slots__ = ("k", "n_max", "classes", "order_evidence", "conjecture_flags",
-                 "labels", "anomalies")
+    __slots__ = ()
 
     def to_json(self):
-        return json.dumps({
-            "k": self.k,
-            "n_max": self.n_max,
-            "classes": self.classes,
-            "order_evidence": self.order_evidence,
-            "conjecture_flags": self.conjecture_flags,
-            "labels": self.labels,
-            "anomalies": self.anomalies,
-        }, indent=2)
+        return json.dumps(self._asdict(), indent=2)
 
 
 def _first_strict(row_a, row_b, start):
@@ -180,11 +172,7 @@ def wilf_classes(table):
             n, d = _first_strict(table.rows[a], table.rows[b], start)
             evidence.append({"a": a, "b": b, "first_strict_n": n, "direction": d})
 
-    beta = str(single_block_pattern(table.k))
-    beta_row = table.rows[beta]
-    conj31 = all(
-        all(c < bc for c, bc in zip(row, beta_row))
-        for text, row in table.rows.items() if text != beta)
+    conj31 = not _below_beta_violations(table)
     conj22 = empirical == predicted and not anomalies
     flags = {"conjecture_2_2": conj22, "conjecture_3_1": conj31}
     labels = []
@@ -232,6 +220,16 @@ def check_beta_threshold(k, n_max, table=None):
     }
 
 
+def _below_beta_violations(table):
+    """Where a row is not strictly below the single block's row (Conjecture
+    3.1 says nowhere), in pattern order."""
+    beta = str(single_block_pattern(table.k))
+    beta_row = table.rows[beta]
+    return [{"pattern": text, "n": n, "count": c, "beta_count": bc}
+            for text, row in sorted(table.rows.items()) if text != beta
+            for n, c, bc in zip(table.ns(), row, beta_row) if not c < bc]
+
+
 def check_conjecture_order(k, n_max, table=None):
     """Every pattern other than the single block strictly below it at every
     n in (k, n_max]."""
@@ -239,16 +237,7 @@ def check_conjecture_order(k, n_max, table=None):
         raise ValueError("the conjecture concerns k >= 4")
     if table is None:
         table = build_table(k, n_max)
-    beta = str(single_block_pattern(k))
-    beta_row = table.rows[beta]
-    violations = []
-    for text, row in sorted(table.rows.items()):
-        if text == beta:
-            continue
-        for n, c, bc in zip(table.ns(), row, beta_row):
-            if not c < bc:
-                violations.append({"pattern": text, "n": n,
-                                   "count": c, "beta_count": bc})
+    violations = _below_beta_violations(table)
     return {"k": k, "n_max": n_max, "violations": violations,
             "ok": not violations}
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from partavoid.avoidance import avoids, block_contains_beta_ambient, contains
+from partavoid.avoidance import avoids, block_contains_beta_ambient, contains, iter_avoiders
 from partavoid.bijections import (
     ABCWord,
     InvalidRWord,
@@ -174,6 +174,12 @@ def test_two_block_round_trip_all_sigma():
             else:
                 codom = sum(1 for p in iter_partitions(n) if contains(p, sigma))
                 assert len(images) < codom
+
+
+def test_two_block_gamma_needs_two_blocks():
+    for text in ("1/2/3", "123"):
+        with pytest.raises(PreconditionViolated, match="exactly two blocks"):
+            two_block_gamma(P(text), 5)
 
 
 def _ref_varphi_inverse(rho, sigma):
@@ -483,6 +489,42 @@ def test_rgf_R_bijection_small():
 
 def test_delta_insertion_worked_example():
     assert str(delta_insertion_encode(P("13/25/4"), 4)) == "11313"
+
+
+def _ref_delta(pi, k):
+    """The growth replay through block_of, each joined block ranked among
+    the minima seen so far: the letters, or the refusal's message."""
+    letters, mins_seen = [], []
+    for i in range(1, pi.n + 1):
+        target = pi.block_of(i)
+        if i == target[0]:
+            letters.append(1)
+            mins_seen.append(i)
+            continue
+        blocks_so_far = len(mins_seen)
+        t = sorted(mins_seen).index(target[0]) + 1
+        if blocks_so_far - t + 2 > k - 1:
+            return (f"element {i} lands {blocks_so_far - t} blocks from the right; "
+                    f"only {k - 2} rightmost blocks are reachable")
+        letters.append(blocks_so_far - t + 2)
+    return letters
+
+
+def test_delta_insertion_encode_matches_the_block_replay():
+    for k in range(3, 6):
+        delta = spanning_doubleton_pattern(k)
+        for n in range(1, 9):
+            for p in iter_avoiders(n, delta):
+                assert list(delta_insertion_encode(p, k)) == _ref_delta(p, k), (p, k)
+        for n in range(1, 7):
+            for p in iter_partitions(n):
+                want = _ref_delta(p, k)
+                if isinstance(want, str):
+                    with pytest.raises(PreconditionViolated) as info:
+                        delta_insertion_encode(p, k)
+                    assert str(info.value) == want
+    with pytest.raises(PreconditionViolated, match="need k >= 3"):
+        delta_insertion_encode(P("12"), 2)
 
 
 def test_delta_insertion_rejects_deep_joins():

@@ -542,14 +542,6 @@ def test_cli_golden_bytes(capsys, monkeypatch, argv, digest):
     assert hashlib.sha256(blob.encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("argv", [argv for argv, _ in CLI_GOLDEN])
-def test_one_subparser_prints_what_the_full_parser_prints(capsys, monkeypatch, argv):
-    one = _outcome(capsys, monkeypatch, argv)
-    full = cli._build_parser
-    monkeypatch.setattr(cli, "_build_parser", lambda only=None: full())
-    assert _outcome(capsys, monkeypatch, argv) == one
-
-
 # =========================================================================
 # the plain path: argv parsed off COMMANDS, without argparse
 # =========================================================================

@@ -15,6 +15,7 @@ from partavoid.core import (
     Matching,
     NotACover,
     OverlappingBlocks,
+    PartitionError,
     RGFWord,
     SetPartition,
     bell,
@@ -164,10 +165,16 @@ def test_iter_partitions_counts_and_order():
 
 
 def test_iter_partitions_is_the_rgf_listing():
-    # built straight from the growth, against each word read by from_rgf
+    # against the blocks of each word, gathered here and checked by from_blocks
     for n in range(10):
         got = list(iter_partitions(n))
-        assert got == [SetPartition.from_rgf(w) for w in iter_rgf_words(n)], n
+        want = []
+        for w in iter_rgf_words(n):
+            blocks = {}
+            for x, a in enumerate(w, start=1):
+                blocks.setdefault(a, []).append(x)
+            want.append(SetPartition.from_blocks(blocks.values(), n))
+        assert got == want, n
         assert all(type(b) is tuple for p in got for b in p.blocks)
 
 
@@ -199,6 +206,10 @@ def test_matchings():
     m = next(iter(iter_matchings(2, 1)))
     assert m.k == 2 and m.f == 1 and m.n == 5
     assert [m_count(n) for n in range(7)] == [1, 1, 2, 4, 10, 26, 76]
+    m = Matching.from_rgf([1, 2, 1, 3])
+    assert type(m) is Matching and m.blocks == ((1, 3), (2,), (4,))
+    with pytest.raises(PartitionError):
+        Matching.from_rgf([1, 2, 1, 1])
 
 
 def test_compositions():
