@@ -19,7 +19,6 @@ import json
 import os
 import random
 import sys
-from functools import partial
 from itertools import islice
 from types import SimpleNamespace
 
@@ -32,6 +31,7 @@ from .avoidance import (
     iter_avoiders,
 )
 from .bijections import (
+    BijectionError,
     decode_14_2_3,
     decode_1_24_3,
     encode_14_2_3,
@@ -40,12 +40,10 @@ from .bijections import (
     has_forbidden_pair,
     iter_abc_words,
     iter_r_words,
-    KZero,
     phi_134_2,
     phi_134_2_inverse,
     phi_a,
     phi_a_inverse,
-    PreconditionViolated,
     psi_sigma_beta,
     R_to_rgf,
     rgf_to_R,
@@ -166,37 +164,59 @@ def _corpus(n, tau, seed):
     return _sample(iter_avoiders(n, tau), seed)
 
 
+def _replay(src, forward, back=None, image_ok=None):
+    """Replay forward over the list src; the first failure as text, or None.
+    Each image must pass image_ok(input, image), lead back to its input
+    through back, and differ from the image of every other input; a map
+    that raises BijectionError fails too."""
+    images = set()
+    for x in src:
+        try:
+            y = forward(x)
+            if image_ok is not None and not image_ok(x, y):
+                return f"image check failed: {x} -> {y}"
+            if back is not None and (z := back(y)) != x:
+                return f"round trip broke: {x} -> {y} -> {z}"
+        except BijectionError as exc:
+            return f"{type(exc).__name__} at {x}: {exc}"
+        images.add(y)
+    if len(images) != len(src):
+        return f"not injective: {len(images)} images of {len(src)} inputs"
+    return None
+
+
 def _verify_slide(k, n, seed):
+    if k < 3:  # a runs over 2..k-1
+        _fail(2, f"need --k >= 3 for slide, got k={k}")
     for a in range(2, k):
         pool, _ = _corpus(n, punctured_block_pattern(k, a + 1), seed)
+        by_block = {}  # block index i -> the pi whose i-th block slides
         for pi in pool:
-            for i in range(1, len(pi.blocks) + 1):
-                if not block_contains_beta_ambient(pi.blocks[i - 1], k, a, n):
-                    continue
-                out = slide(pi, i, k, a)
-                if _unslide(out, i, k, a) != pi:
-                    return f"slide round trip broke at a={a} pi={pi} i={i}"
-                if len(out.blocks[i - 1]) != len(pi.blocks[i - 1]):
-                    return f"slide changed block size at a={a} pi={pi} i={i}"
+            for i, block in enumerate(pi.blocks, start=1):
+                if block_contains_beta_ambient(block, k, a, n):
+                    by_block.setdefault(i, []).append(pi)
+        for i, src in by_block.items():
+            problem = _replay(
+                src, lambda pi: slide(pi, i, k, a), lambda out: _unslide(out, i, k, a),
+                lambda pi, out: len(out.blocks[i - 1]) == len(pi.blocks[i - 1]))
+            if problem:
+                return f"a={a} i={i}: {problem}"
     return None
 
 
 def _verify_phi_a(k, n, seed):
+    if k < 3:  # a runs over 2..k-1
+        _fail(2, f"need --k >= 3 for phi_a, got k={k}")
     for a in range(2, k):
         lo = punctured_block_pattern(k, a)
         src, sampled = _corpus(n, punctured_block_pattern(k, a + 1), seed)
-        images = set()
-        for pi in src:
-            out = phi_a(pi, k, a)
-            if not avoids(out, lo):
-                return f"phi_a image contains target at a={a} pi={pi}"
-            if phi_a_inverse(out, k, a) != pi:
-                return f"phi_a inverse mismatch at a={a} pi={pi}"
-            images.add(out)
-        if len(images) != len(src):
-            return f"phi_a not injective at a={a} n={n}"
-        if a < k - 1 and not sampled and len(images) != count_avoiders(n, lo):
-            return f"phi_a not surjective at a={a} n={n}"
+        problem = _replay(src, lambda pi: phi_a(pi, k, a),
+                          lambda out: phi_a_inverse(out, k, a),
+                          lambda pi, out: avoids(out, lo))
+        if problem:
+            return f"a={a}: {problem}"
+        if a < k - 1 and not sampled and len(src) != count_avoiders(n, lo):
+            return f"not surjective at a={a} n={n}"
     return None
 
 
@@ -208,58 +228,32 @@ def _verify_two_block(k, n, seed):
     for sigma in iter_partitions(k):
         if len(sigma.blocks) != 2:
             continue
-        images = set()
-        for pi in src:
-            out = two_block_varphi(pi, sigma)
-            try:  # the inverse first checks that out contains sigma
-                back = two_block_varphi_inverse(out, sigma)
-            except PreconditionViolated:
-                return f"image avoids sigma={sigma} pi={pi}"
-            if back != pi:
-                return f"inverse mismatch sigma={sigma} pi={pi}"
-            images.add(out)
-        if len(images) != len(src):
-            return f"not injective for sigma={sigma} n={n}"
-        if len(sigma.blocks[1]) + 1 < k and two_block_gamma(sigma, n) in images:
-            return f"gamma witness inside image for sigma={sigma} n={n}"
+        # gamma lies outside the image; the inverse checks that each image
+        # contains sigma
+        gamma = two_block_gamma(sigma, n) if len(sigma.blocks[1]) + 1 < k else None
+        problem = _replay(src, lambda pi: two_block_varphi(pi, sigma),
+                          lambda out: two_block_varphi_inverse(out, sigma),
+                          lambda pi, out: out != gamma)
+        if problem:
+            return f"sigma={sigma}: {problem}"
     return None
 
 
 def _verify_psi(k, n, seed):
     beta = single_block_pattern(k)
     src, _ = _corpus(n, singletons_pattern(k), seed)
-    images = set()
-    for pi in src:
-        out = psi_sigma_beta(pi, k)
-        if not avoids(out, beta):
-            return f"psi image contains block pattern: pi={pi} out={out}"
-        if has_forbidden_pair(out, k):
-            return f"psi image has the forbidden pair: pi={pi} out={out}"
-        images.add(out)
-    if len(images) != len(src):
-        return f"psi not injective at k={k} n={n}"
-    return None
+    return _replay(src, lambda pi: psi_sigma_beta(pi, k), image_ok=lambda pi, out: (
+        avoids(out, beta) and not has_forbidden_pair(out, k)))
 
 
-def _verify_words(variant, k, n, seed):
-    if variant == "14_2_3":
-        words = list(iter_abc_words(n, star=True))
-        enc, dec = encode_14_2_3, decode_14_2_3
-        pat = SetPartition.parse("14/2/3")
-    else:
-        words = list(iter_abc_words(n, doublestar=True))
-        enc, dec = encode_1_24_3, decode_1_24_3
-        pat = SetPartition.parse("1/24/3")
-    seen = set()
-    for w in words:
-        p = enc(w)
-        if not avoids(p, pat):
-            return f"encoded partition contains the pattern: {w} -> {p}"
-        if dec(p) != w:
-            return f"decode mismatch: {w} -> {p} -> {dec(p)}"
-        seen.add(p)
+def _verify_words(n, words, enc, dec, pattern):
+    words = list(words)
+    pat = SetPartition.parse(pattern)
+    problem = _replay(words, enc, dec, lambda w, p: avoids(p, pat))
+    if problem:
+        return problem
     expected = count_avoiders(n, pat)
-    if len(seen) != len(words) or len(words) != expected:
+    if len(words) != expected:
         return f"count mismatch: {len(words)} words vs {expected} avoiders"
     return None
 
@@ -269,13 +263,8 @@ def _verify_rgf_R(k, n, seed):
     rws = {tuple(v) for v in iter_r_words(n, k)}
     if len(rgfs) != len(rws):
         return f"set sizes differ: {len(rgfs)} vs {len(rws)}"
-    for w in rgfs:
-        v = rgf_to_R(w, k)
-        if tuple(v) not in rws:
-            return f"image outside the word set: {w} -> {v}"
-        if R_to_rgf(v) != w:
-            return f"round trip broke: {w} -> {v} -> {R_to_rgf(v)}"
-    return None
+    return _replay(rgfs, lambda w: rgf_to_R(w, k), R_to_rgf,
+                   lambda w, v: tuple(v) in rws)
 
 
 def _verify_core(k, n, seed):
@@ -293,24 +282,24 @@ def _verify_core(k, n, seed):
 
 def _verify_phi_134_2(k, n, seed):
     pool, _ = _corpus(n, SetPartition.parse("134/2"), seed)
-    for pi in pool:
-        try:
-            lam, skel = phi_134_2(pi)
-        except KZero:
-            continue
-        if phi_134_2_inverse(lam, skel) != pi:
-            return f"round trip broke: {pi}"
-    return None
+    src = [pi for pi in pool if len(pi.blocks) < pi.n]  # phi_134_2 needs a block of two
+    return _replay(src, phi_134_2, lambda image: phi_134_2_inverse(*image))
 
 
 VERIFY = {
-    # map -> (check(k, n, seed), default k, default n); k None: the map has none
+    # map -> (check(k, n, seed), default k, default n); k None: the map has none.
+    # The checks name their maps inside functions and lambdas, so a map is
+    # looked up in this module when its check runs, and a wrapper rebound over
+    # a module global later is called.
     "slide": (_verify_slide, 5, 7),
     "phi_a": (_verify_phi_a, 5, 7),
     "two_block": (_verify_two_block, 4, 7),
     "psi": (_verify_psi, 4, 8),
-    "words_14_2_3": (partial(_verify_words, "14_2_3"), None, 8),
-    "words_1_24_3": (partial(_verify_words, "1_24_3"), None, 8),
+    "words_14_2_3": (lambda k, n, seed: _verify_words(
+        n, iter_abc_words(n, star=True), encode_14_2_3, decode_14_2_3, "14/2/3"), None, 8),
+    "words_1_24_3": (lambda k, n, seed: _verify_words(
+        n, iter_abc_words(n, doublestar=True), encode_1_24_3, decode_1_24_3, "1/24/3"),
+        None, 8),
     "rgf_R": (_verify_rgf_R, 4, 8),
     "core_14_23": (_verify_core, None, 8),
     "phi_134_2": (_verify_phi_134_2, None, 7),

@@ -314,10 +314,9 @@ def _growth_words(n, first, letters):
 
 def iter_rgf_words(n, max_letter=None):
     """All RGF words of length n in lexicographic order, optionally with
-    letters at most max_letter (the word 1 of length one is listed whatever
-    the cap)."""
+    letters at most max_letter."""
     cap = n if max_letter is None else max_letter
-    if n > 1 and cap < 1:
+    if cap < 1:
         return
 
     def letters(prefix):  # at most cap, and at most 1 + the largest before

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import K4_COMPLEMENTS, K4_ROWS, K5_ROWS
 from partavoid.avoidance import avoider_counts
+from partavoid.bijections import BijectionError
 from partavoid import cli
 from partavoid.cli import VERIFY, _sample, main
 from partavoid.core import SetPartition, iter_partitions
@@ -262,6 +263,8 @@ def test_verify_exit_codes_on_small_ranges(capsys, name):
                 argv += ["--k", str(k)]
             rc, out, err = run_any(capsys, *argv)
             assert rc in (0, 2, 3, 4, 5), argv
+            if n and k == 2 and name in ("slide", "phi_a"):  # a runs over 2..k-1
+                assert rc == 2 and "--k >= 3" in err, argv
             if rc == 2:
                 assert out == "" and err.startswith("error:"), argv
                 assert len(err.splitlines()) == 1, argv
@@ -306,13 +309,28 @@ def test_sample_over_the_cap_is_a_seeded_reservoir(capsys):
     assert all(900 < c < 1100 for c in kept), kept
 
 
+def _raise_boom(*args):
+    raise BijectionError("boom")
+
+
 @pytest.mark.parametrize("name,target,broken", [
     ("phi_a", "phi_a_inverse", lambda rho, k, a: rho),
     ("two_block", "two_block_varphi_inverse", lambda rho, sigma: rho),
     ("words_14_2_3", "decode_14_2_3", lambda pi: "a" * pi.n),
+    # an image outside the target set
+    ("psi", "psi_sigma_beta", lambda pi, k: pi),
+    # a broken inverse
+    ("rgf_R", "R_to_rgf", lambda v: v),
+    ("slide", "_unslide", lambda pi, i, k, a: pi),
+    ("phi_134_2", "phi_134_2_inverse", lambda lam, skeleton: skeleton),
+    # every input to one image
+    ("psi", "psi_sigma_beta",
+     lambda pi, k: SetPartition.from_blocks([[x] for x in range(1, pi.n + 1)], pi.n)),
+    # a map that refuses an input
+    ("phi_a", "phi_a", _raise_boom),
 ])
 def test_verify_failure_exits_5(capsys, monkeypatch, name, target, broken):
-    # a map whose inverse is broken fails its check with one stdout line
+    # a broken map fails its check with one stdout line
     monkeypatch.setattr("partavoid.cli." + target, broken)
     rc, out, err = run_fail(capsys, "verify", "--map", name)
     assert rc == 5

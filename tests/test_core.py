@@ -186,7 +186,7 @@ def test_iter_rgf_words_bounded():
 def test_iter_rgf_words_is_every_capped_word_in_order():
     # against a filter over all words of {1..n}^n, which is lexicographic
     for n in range(1, 7):
-        for cap in (None, 1, 2, 3, n):
+        for cap in (None, -1, 0, 1, 2, 3, n):
             top = n if cap is None else cap
             want = [w for w in product(range(1, top + 1), repeat=n)
                     if all(w[i] <= max(w[:i], default=0) + 1 for i in range(n))]
