@@ -69,6 +69,11 @@ def containment_witness(sigma, tau):
         return None
     if not k:
         return ()
+    # two shapes the search would answer with its own first witness
+    if len(tau.blocks) == 1:  # beta_k: the first block with k elements
+        return next((tuple(b[:k]) for b in blocks if len(b) >= k), None)
+    if len(tau.blocks) == k:  # sigma_k: the first k blocks' minima
+        return tuple(b[0] for b in blocks[:k])
     bound = [0] * len(tau.blocks)  # the sigma block of each opened pattern block
     choice = [0] * (k + 1)
     untried = [None] * (k + 1)  # (x, sigma block of x), popped from the end

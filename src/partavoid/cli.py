@@ -309,6 +309,8 @@ VERIFY = {
 def cmd_verify(args):
     name = args.map
     check, dflt_k, dflt_n = VERIFY[name]
+    if dflt_k is None and args.k is not None:
+        _fail(2, f"--map {name} takes no --k")
     k = dflt_k if args.k is None else args.k
     n = dflt_n if args.n is None else args.n
     if n < 1 or (k is not None and k < 2):

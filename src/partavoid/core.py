@@ -387,16 +387,19 @@ def iter_matchings(k, f):
     yield from rec(tuple(range(1, n + 1)), k, f, [])
 
 
-def m_count(n):
-    """Number of matchings of [n] with any number of fixed points."""
+def m_counts(n):
+    """m_count(0), ..., m_count(n), by m(i) = m(i-1) + (i-1) m(i-2)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    a, b = 1, 1  # m_count(0), m_count(1)
-    if n == 0:
-        return a
+    m = [1, 1]
     for i in range(2, n + 1):
-        a, b = b, b + (i - 1) * a
-    return b
+        m.append(m[-1] + (i - 1) * m[-2])
+    return m[:n + 1]
+
+
+def m_count(n):
+    """Number of matchings of [n] with any number of fixed points."""
+    return m_counts(n)[n]
 
 
 class Composition(tuple):
@@ -533,6 +536,7 @@ __all__ = [
     "iter_matchings",
     "iter_compositions",
     "m_count",
+    "m_counts",
     "stirling2",
     "bell",
     "double_factorial",

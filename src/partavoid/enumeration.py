@@ -5,25 +5,25 @@
 #  Closed counts for the patterns with known formulas (single block, all
 #  singletons, 12/34, 1/234, 134/2, 12/3/4), rational generating functions
 #  for 14/2/3 and 1/24/3, the algebraic one for 14/23, Catalan for 13/24,
-#  and a small exact power-series calculus (Fraction coefficients) to pull
-#  all of it through sqrt, composition, and division without rounding.
-#  Products convolve integer numerators over one common denominator, so
-#  the inner loops do int arithmetic; sqrt runs the O(N^2) coefficient
-#  recurrence on integers scaled by (4d)^n; compose is Horner's rule on
-#  integer numerators, from the last nonzero outer term, with each step
-#  truncated to the order that can still reach the result; division is
-#  the one long-division routine, over the divisor's nonzero terms, and
-#  the rational series are quotients by it.  Products, sqrt and compose
-#  build one Fraction per result coefficient, at the end.
+#  and a small exact power-series calculus to pull all of it through sqrt,
+#  composition, and division without rounding.  A series is integer
+#  numerators over one integer denominator, and every operation
+#  works on those integers: products convolve them; division is long
+#  division scaled by powers of the divisor's constant term; sqrt runs the
+#  O(N^2) coefficient recurrence on integers scaled by (4d)^n; compose is
+#  Horner's rule from the last nonzero outer term, with each step truncated
+#  to the order that can still reach the result.  Integer results are read
+#  off with an exact divmod; Fractions are built only when coeffs is read.
 #  This module also owns the map from a pattern to the closed forms that
 #  count it, complements included: closed_count is the one lookup.
 #
 ###############################################################################
 
-from fractions import Fraction
+from itertools import accumulate
 from math import comb, factorial, lcm
+from operator import add, sub
 
-from .core import m_count, perfect_matchings, stirling2
+from .core import m_counts, perfect_matchings, stirling2
 
 
 class SeriesError(ValueError):
@@ -55,26 +55,39 @@ class InexactDivision(SeriesError):
 # =========================================================================
 
 class PowerSeries:
-    """Truncated power series with Fraction coefficients 0..N.
+    """Truncated power series with exact rational coefficients 0..N, held
+    as integer numerators over one nonzero integer denominator.
 
     Arithmetic is exact and never pretends to know coefficients past the
     truncation order: combining two series yields the smaller order.
     """
 
-    __slots__ = ("coeffs", "N")
+    __slots__ = ("_num", "_den", "N", "_coeffs")
 
     def __init__(self, coeffs, N=None):
-        coeffs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
-        if N is None:
-            N = len(coeffs) - 1
+        coeffs = list(coeffs)
+        N = len(coeffs) - 1 if N is None else N
         if N < 0:
             raise ValueError("order must be >= 0")
-        coeffs = coeffs[:N + 1] + [Fraction(0)] * (N + 1 - len(coeffs))
-        object.__setattr__(self, "coeffs", tuple(coeffs))
-        object.__setattr__(self, "N", N)
+        coeffs = coeffs[:N + 1]
+        if any(type(c) is not int for c in coeffs):
+            from fractions import Fraction
+            coeffs = [Fraction(c) for c in coeffs]
+        d = lcm(*(c.denominator for c in coeffs))
+        num = [c.numerator * (d // c.denominator) for c in coeffs]
+        _series(num + [0] * (N + 1 - len(num)), d, N, self)
 
     def __setattr__(self, *_):
         raise AttributeError("PowerSeries is immutable")
+
+    @property
+    def coeffs(self):
+        """The coefficients as a tuple of Fractions, built once, on first use."""
+        if self._coeffs is None:
+            from fractions import Fraction
+            object.__setattr__(self, "_coeffs",
+                               tuple(Fraction(x, self._den) for x in self._num))
+        return self._coeffs
 
     def __getitem__(self, n):
         if not 0 <= n <= self.N:
@@ -82,23 +95,21 @@ class PowerSeries:
         return self.coeffs[n]
 
     def __eq__(self, other):
-        return (isinstance(other, PowerSeries)
-                and self.N == other.N and self.coeffs == other.coeffs)
+        return (isinstance(other, PowerSeries) and self.N == other.N
+                and [x * other._den for x in self._num] == [y * self._den for y in other._num])
 
     def __repr__(self):
-        head = ", ".join(str(c) for c in self.coeffs[:6])
         tail = ", ..." if self.N > 5 else ""
-        return f"PowerSeries([{head}{tail}], N={self.N})"
+        return f"PowerSeries([{', '.join(map(str, self.coeffs[:6]))}{tail}], N={self.N})"
 
-    def __add__(self, other):
+    def __add__(self, other, op=add):
         other = _coerce(other, self.N)
         N = min(self.N, other.N)
-        return PowerSeries([self.coeffs[i] + other.coeffs[i] for i in range(N + 1)], N)
+        d = lcm(self._den, other._den)
+        return _series(list(map(op, _over(self, d, N), _over(other, d, N))), d, N)
 
     def __sub__(self, other):
-        other = _coerce(other, self.N)
-        N = min(self.N, other.N)
-        return PowerSeries([self.coeffs[i] - other.coeffs[i] for i in range(N + 1)], N)
+        return self.__add__(other, sub)
 
     def __rsub__(self, other):
         return _coerce(other, self.N) - self
@@ -108,39 +119,42 @@ class PowerSeries:
     def __mul__(self, other):
         other = _coerce(other, self.N)
         N = min(self.N, other.N)
-        da, a = _common_denominator(self.coeffs[:N + 1])
-        db, b = _common_denominator(other.coeffs[:N + 1])
-        b_terms = [(j, y) for j, y in enumerate(b) if y]
+        b_terms = [(j, y) for j, y in enumerate(other._num[:N + 1]) if y]
         out = [0] * (N + 1)
-        for i, x in enumerate(a):
+        for i, x in enumerate(self._num[:N + 1]):
             if not x:
                 continue
             for j, y in b_terms:
                 if i + j > N:
                     break
                 out[i + j] += x * y
-        d = da * db
-        return PowerSeries([Fraction(c, d) for c in out], N)
+        return _series(out, self._den * other._den, N)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        """Long division on integers.  With self = A/a, other = B/b and
+        c = B_0, the quotient is (b/a) q for q = A/B, and Q_n = q_n c^(n+1)
+        obeys Q_n = A_n c^n - sum_{0<j<=n} B_j c^(j-1) Q_{n-j}, over the
+        nonzero B_j; coefficient n is then b Q_n c^(N-n) / (a c^(N+1))."""
         other = _coerce(other, self.N)
-        if other.coeffs[0] == 0:
+        c = other._num[0]
+        if not c:
             raise DivByZeroConstant("divisor has zero constant term")
         N = min(self.N, other.N)
-        inv0 = Fraction(1) / other.coeffs[0]
-        # h_n = (f_n - sum_{0<j<=n} g_j h_{n-j}) / g_0, over the nonzero g_j
-        b_terms = [(j, y) for j, y in enumerate(other.coeffs[1:N + 1], start=1) if y]
-        out = []
-        for n in range(N + 1):
-            acc = self.coeffs[n]
+        power = [c ** i for i in range(N + 2)]
+        b_terms = [(j, y * power[j - 1])
+                   for j, y in enumerate(other._num[1:N + 1], start=1) if y]
+        Q = []
+        for n, x in enumerate(self._num[:N + 1]):
+            acc = x * power[n]
             for j, y in b_terms:
                 if j > n:
                     break
-                acc -= y * out[n - j]
-            out.append(acc * inv0)
-        return PowerSeries(out, N)
+                acc -= y * Q[n - j]
+            Q.append(acc)
+        b, d = other._den, self._den * power[N + 1]
+        return _series([b * x * power[N - n] for n, x in enumerate(Q)], d, N)
 
     def __rtruediv__(self, other):
         return _coerce(other, self.N) / self
@@ -149,23 +163,24 @@ class PowerSeries:
         """Square root with constant term 1, by the coefficient recurrence
         h_0 = 1, h_n = (f_n - sum_{0<i<n} h_i h_{n-i}) / 2, run on integers.
 
-        With f = F/d over the common denominator d, H_n = h_n (4d)^n obeys
+        With f = F/d, H_n = h_n (4d)^n obeys
         H_0 = 1, H_n = (F_n 4^n d^(n-1) - sum_{0<i<n} H_i H_{n-i}) / 2.
         Every H_n is an integer, and even for n >= 1: by induction each
         product in the sum is of two even numbers, so the sum and the
         first term are multiples of 4.  The sum is twice the half-sum,
-        plus the middle square when n is even."""
-        if self.coeffs[0] != 1:
+        plus the middle square when n is even.  The result is H_n (4d)^(N-n)
+        over (4d)^N."""
+        d, F = self._den, self._num
+        if F[0] != d:
             raise SqrtNonUnit("sqrt needs constant term 1")
-        d, F = _common_denominator(self.coeffs)
-        H = [1]
+        H, q = [1], 4 * d
         scale = 4  # 4^n d^(n-1)
         for n in range(1, self.N + 1):
             half = sum(H[i] * H[n - i] for i in range(1, (n + 1) // 2))
             middle = H[n // 2] ** 2 if n % 2 == 0 else 0
             H.append((F[n] * scale - middle) // 2 - half)
-            scale *= 4 * d
-        return PowerSeries([Fraction(x, (4 * d) ** n) for n, x in enumerate(H)], self.N)
+            scale *= q
+        return _series([x * q ** (self.N - n) for n, x in enumerate(H)], q ** self.N, self.N)
 
     def compose(self, inner):
         """self(inner); inner must vanish at 0.
@@ -175,19 +190,17 @@ class PowerSeries:
         holds c_m is later multiplied by inner^m, of order >= m, so only
         its terms of order <= N - m reach the result, and it is kept to
         that order: about N^3/6 multiply-adds instead of N^3/2.  With
-        inner = z q, acc is integer numerators over one running
-        denominator D; a step is D <- lcm(D e, den c_m), for q's common
-        denominator e, and each result coefficient becomes a Fraction
-        once, at the end."""
+        self = F/a and inner = z q/e, the acc of c_m is integer numerators
+        over a e^(top-m), so a step scales F_m by e^(top-m) and the result
+        is the last acc over a e^top."""
         inner = _coerce(inner, self.N)
-        if inner.coeffs[0] != 0:
+        if inner._num[0]:
             raise ComposeNonzeroConstant("inner series must have zero constant term")
         N = min(self.N, inner.N)
-        f = self.coeffs
-        top = next((m for m in range(N, -1, -1) if f[m]), 0)
-        e, q = _common_denominator(inner.coeffs[1:N + 1])
-        q_terms = [(j, y) for j, y in enumerate(q) if y]
-        D, acc = f[top].denominator, [f[top].numerator]
+        F = self._num
+        top = next((m for m in range(N, -1, -1) if F[m]), 0)
+        q_terms = [(j, y) for j, y in enumerate(inner._num[1:N + 1]) if y]
+        acc, scale = [F[top]], 1
         for m in range(top - 1, -1, -1):
             # acc <- c_m + z q acc, to order N - m
             width = N - m
@@ -199,31 +212,34 @@ class PowerSeries:
                     if i + j >= width:
                         break
                     prod[i + j] += x * y
-            c = f[m]
-            De = D * e
-            D = lcm(De, c.denominator)
-            s = D // De
-            acc = [c.numerator * (D // c.denominator)] + [x * s for x in prod]
-        return PowerSeries([Fraction(x, D) for x in acc], N)
+            scale *= inner._den
+            acc = [F[m] * scale] + prod
+        return _series(acc + [0] * (N + 1 - len(acc)), self._den * scale, N)
 
     def integer_coeffs(self):
-        for n, c in enumerate(self.coeffs):
-            if c.denominator != 1:
-                raise NonIntegralCoefficient(f"coefficient {n} is {c}")
-        return [int(c) for c in self.coeffs]
+        out = [divmod(x, self._den) for x in self._num]
+        for n, (_, r) in enumerate(out):
+            if r:
+                raise NonIntegralCoefficient(f"coefficient {n} is {self.coeffs[n]}")
+        return [q for q, _ in out]
+
+
+def _series(num, den, N, s=None):
+    """num[n]/den, n = 0..N, from N + 1 ints and den != 0, filled into s or new."""
+    s = object.__new__(PowerSeries) if s is None else s
+    for name, value in zip(PowerSeries.__slots__, (num, den, N, None)):
+        object.__setattr__(s, name, value)
+    return s
 
 
 def _coerce(x, N):
-    if isinstance(x, PowerSeries):
-        return x
-    return PowerSeries([x], N)
+    return x if isinstance(x, PowerSeries) else PowerSeries([x], N)
 
 
-def _common_denominator(coeffs):
-    """(d, nums) with coeffs[i] == nums[i] / d; d is the lcm of the
-    denominators, so products of nums are plain int arithmetic."""
-    d = lcm(*(c.denominator for c in coeffs))
-    return d, [c.numerator * (d // c.denominator) for c in coeffs]
+def _over(s, d, N):
+    """The numerators 0..N of s over d, a multiple of s's denominator."""
+    f = d // s._den
+    return s._num[:N + 1] if f == 1 else [x * f for x in s._num[:N + 1]]
 
 
 def geometric(N):
@@ -232,16 +248,14 @@ def geometric(N):
 
 
 def monomial(c, d, N):
-    out = [Fraction(0)] * (N + 1)
-    if d <= N:
-        out[d] = Fraction(c)
-    return PowerSeries(out, N)
+    return PowerSeries([0] * d + [c], N)
 
 
 def exp_poly(m, N):
-    """exp_m = sum_{i<=m} z^i/i!, as a series of order N."""
-    return PowerSeries([Fraction(1, factorial(i)) if i <= m else 0
-                        for i in range(N + 1)], N)
+    """exp_m = sum_{i<=m} z^i/i!, as a series of order N: the numerators
+    L/i! over L = min(m, N)!."""
+    L = factorial(min(max(m, 0), N))
+    return _series([L // factorial(i) if i <= m else 0 for i in range(N + 1)], L, N)
 
 
 # =========================================================================
@@ -255,6 +269,7 @@ class BivariateSeries:
     __slots__ = ("rows", "N")
 
     def __init__(self, rows):
+        from fractions import Fraction
         clean = []
         for n, poly in enumerate(rows):
             poly = [Fraction(c) for c in poly]
@@ -274,25 +289,18 @@ class BivariateSeries:
 
     def at_t(self, t):
         """Specialize t, leaving a list of z-coefficients."""
+        from fractions import Fraction
         t = Fraction(t)
         return [sum((c * t ** i for i, c in enumerate(row)), Fraction(0))
                 for row in self.rows]
 
 
-def _poly_eval_one(poly):
-    return sum(poly, Fraction(0))
-
-
 def _poly_div_one_minus_t(poly):
-    # divide by (1 - t); exact iff poly(1) == 0
-    out = []
-    acc = Fraction(0)
-    for c in poly:
-        acc += c
-        out.append(acc)
+    # divide by (1 - t): the partial sums, exact iff poly(1) == 0
+    out = list(accumulate(poly))
     if out and out[-1] != 0:
         raise InexactDivision("numerator does not vanish at t = 1")
-    return out[:-1] if out else out
+    return out[:-1]
 
 
 # =========================================================================
@@ -324,35 +332,28 @@ def count_sigma_k(n, k):
 def count_12_34(n):
     """Avoiders of 12/34: at most one block of size >= 3, the rest a partial
     matching threaded around it."""
-    total = 0
-    for k in range(0, n // 2 + 1):
-        total += factorial(k) * comb(n, 2 * k)
-        for ell in range(3, n - 2 * k + 1):
-            total += comb(n, 2 * k + ell) * factorial(k) * (k + 1) ** 2
-    return total
+    row = [comb(n, j) for j in range(n + 4)]
+    tail = list(accumulate(reversed(row)))[::-1]  # tail[j] = sum_{i >= j} C(n, i)
+    return sum(factorial(k) * (row[2 * k] + (k + 1) ** 2 * tail[2 * k + 3])
+               for k in range(n // 2 + 1))
 
 
 def count_1_234(n):
     """Avoiders of 1/234: the block of 1 is an interval, an interval plus
     one extra, or an interval plus two extras; what remains is a partial
-    matching."""
-    total = 0
-    for ell in range(1, n + 1):
-        total += m_count(n - ell)
-    for ell in range(1, n - 1):
-        total += (n - ell - 1) * m_count(n - ell - 1)
-    for ell in range(1, n - 2):
-        total += comb(n - ell - 1, 2) * m_count(n - ell - 2)
-    return total
+    matching.  For the interval 1..ell, with j = n - ell - 1 elements above
+    ell + 1 to take the extras from, the three give m(j + 1), j m(j) and
+    C(j, 2) m(j - 1) avoiders, read from one table of m."""
+    m = m_counts(n)
+    return sum(m[:n]) + sum(j * m[j] + comb(j, 2) * m[j - 1] for j in range(1, n - 1))
 
 
 def count_134_2(n):
     """Avoiders of 134/2 via the composition-times-matching decomposition."""
     total = 1
     for k in range(1, n // 2 + 1):
-        for f in range(0, n - 2 * k + 1):
-            total += (comb(n - f - k - 1, k - 1)
-                      * comb(2 * k + f, f) * perfect_matchings(2 * k))
+        total += perfect_matchings(2 * k) * sum(
+            comb(n - f - k - 1, k - 1) * comb(2 * k + f, f) for f in range(n - 2 * k + 1))
     return total
 
 
@@ -412,21 +413,22 @@ def gf_coeffs_14_23(N):
     An avoider of [n] is a singleton-free core on some m of its elements,
     chosen in C(n, m) ways, with the rest singletons; the all-singleton
     partition is the 1.  Since [z^n] z^m/(1-z)^(m+1) = C(n, m), this is
-    the series above coefficient by coefficient, in O(N^2) products
-    instead of a composition."""
+    the series above coefficient by coefficient.  After n rounds of
+    adjacent sums g_m <- g_m + g_(m+1), g_0 is sum_m C(n, m) g_m: O(N^2)
+    additions instead of a composition."""
     g = core_gf_14_23(N).integer_coeffs()
-    return [sum(comb(n, m) * g[m] for m in range(n + 1)) + 1
-            for n in range(N + 1)]
+    out = []
+    for _ in range(N + 1):
+        out.append(g[0] + 1)
+        g = [x + y for x, y in zip(g, g[1:])]
+    return out
 
 
 def gf_coeffs_13_24(N):
     """Avoiders of 13/24 are the non-crossing partitions: Catalan numbers,
     read off (1 - sqrt(1-4z))/(2z)."""
-    M = N + 1
-    root = (1 - monomial(4, 1, M)).sqrt()
-    shifted = (1 - root).coeffs
-    out = PowerSeries([shifted[n + 1] / 2 for n in range(N + 1)], N)
-    return out.integer_coeffs()
+    s = 1 - (1 - monomial(4, 1, N + 1)).sqrt()
+    return _series(s._num[1:], 2 * s._den, N).integer_coeffs()
 
 
 def h_series_check(N):
@@ -437,16 +439,11 @@ def h_series_check(N):
         raise ValueError("need N >= 2")
     rows = [(), ()]
     for n in range(2, N + 1):
-        h1 = _poly_eval_one(rows[n - 1])
         prev2 = rows[n - 2]
-        h2 = _poly_eval_one(prev2)
         # numerator h_{n-2}(1) - t*h_{n-2}(t), then the exact (1-t) division
-        numer = [h2] + [-c for c in prev2]
-        quot = _poly_div_one_minus_t(numer)
-        poly = [Fraction(0)] * (max(len(quot) + 1, 2) + 1)
-        if n == 2:
-            poly[1] += 1
-        poly[1] += h1
+        quot = _poly_div_one_minus_t([sum(prev2)] + [-c for c in prev2])
+        poly = [0] * (max(len(quot) + 1, 2) + 1)
+        poly[1] = sum(rows[n - 1]) + (n == 2)
         for i, c in enumerate(quot):
             poly[i + 1] += c
         rows.append(poly)
@@ -457,19 +454,19 @@ def _egf_counts(series):
     """n! * [z^n] series for n = 0..N; a count that is not an integer
     raises rather than being truncated."""
     out, fact = [], 1
-    for n, c in enumerate(series.coeffs):
+    for n, x in enumerate(series._num):
         fact *= n or 1
-        count = c * fact
-        if count.denominator != 1:
-            raise NonIntegralCoefficient(f"coefficient {n} times {n}! is {count}")
-        out.append(count.numerator)
+        count, r = divmod(x * fact, series._den)
+        if r:
+            raise NonIntegralCoefficient(
+                f"coefficient {n} times {n}! is {series.coeffs[n] * fact}")
+        out.append(count)
     return out
 
 
 def egf_crosscheck_beta_k(N, k):
     """n! * [z^n] exp(exp_{k-1}(z) - 1), exactly."""
-    g = exp_poly(k - 1, N) - 1
-    return _egf_counts(exp_poly(N, N).compose(g))
+    return _egf_counts(exp_poly(N, N).compose(exp_poly(k - 1, N) - 1))
 
 
 def egf_crosscheck_sigma_k(N, k):

@@ -19,6 +19,8 @@ from partavoid.core import (
     SetPartition,
     iter_partitions,
     punctured_block_pattern,
+    single_block_pattern,
+    singletons_pattern,
     standardize,
 )
 from partavoid.enumeration import closed_count
@@ -112,6 +114,30 @@ def test_witness_far_past_the_recursion_limit():
     assert containment_witness(sigma, SetPartition([range(1, 1201)], 1200)) == tuple(range(1, 1201))
     assert containment_witness(SetPartition([[x] for x in range(1, 1201)], 1200),
                                SetPartition([[x] for x in range(1, 1200)], 1199)) == tuple(range(1, 1200))
+    # a shape the search answers itself: one long block and a singleton
+    sigma = SetPartition([range(1, 1200), [1200]], 1200)
+    tau = SetPartition([range(1, 1199), [1199]], 1199)
+    assert containment_witness(sigma, tau) == tuple(range(1, 1199)) + (1200,)
+
+
+def test_block_and_singleton_patterns_take_the_first_witness():
+    # beta_k is answered by the first k elements of the first block with k
+    # elements, sigma_k by the minima of the first k blocks, without the
+    # search; both are the search's own first witnesses
+    for n in range(1, 8):
+        for sigma in iter_partitions(n):
+            for k in range(1, 7):
+                beta, sing = single_block_pattern(k), singletons_pattern(k)
+                w = containment_witness(sigma, beta)
+                assert (w is not None) == contains_bruteforce(sigma, beta)
+                big = [b for b in sigma.blocks if len(b) >= k]
+                assert w == (tuple(big[0][:k]) if big else None)
+                assert w == _ref_witness(sigma, beta)
+                w = containment_witness(sigma, sing)
+                assert (w is not None) == contains_bruteforce(sigma, sing)
+                first = tuple(b[0] for b in sigma.blocks[:k])
+                assert w == (first if len(sigma.blocks) >= k else None)
+                assert w == _ref_witness(sigma, sing)
 
 
 def test_fast_matches_bruteforce_exhaustive():

@@ -265,6 +265,8 @@ def test_verify_exit_codes_on_small_ranges(capsys, name):
             assert rc in (0, 2, 3, 4, 5), argv
             if n and k == 2 and name in ("slide", "phi_a"):  # a runs over 2..k-1
                 assert rc == 2 and "--k >= 3" in err, argv
+            if k is not None and VERIFY[name][1] is None:  # the map has no k
+                assert rc == 2 and err == f"error: --map {name} takes no --k\n", argv
             if rc == 2:
                 assert out == "" and err.startswith("error:"), argv
                 assert len(err.splitlines()) == 1, argv
@@ -653,3 +655,23 @@ assert "argparse" not in sys.modules
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("1\nCONTAINS\nS = 1 2\npass: psi (k=3, n=5)\n")
+
+
+def test_series_commands_never_import_fractions():
+    # the series kernel holds integers; fractions (and decimal under it)
+    # load only when a caller asks a series for its Fraction coefficients
+    script = """
+import sys
+from partavoid.cli import main
+for method, patterns in (("gf", ("1234", "1/2/3/4", "14/2/3", "13/2/4", "14/23", "13/24")),
+                         ("formula", ("1234", "1/2/3/4", "12/3/4", "12/34", "123/4", "124/3"))):
+    for p in patterns:
+        assert main(["count", "--method", method, "--n", "30", "--pattern", p]) == 0, p
+assert main(["count", "--method", "all", "--n", "6", "--pattern", "14/23"]) == 0
+print(sorted(m for m in ("fractions", "decimal") if m in sys.modules))
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 from math import comb
 
 import pytest
@@ -90,6 +91,12 @@ def test_series_integer_coeffs_guard():
     f = PowerSeries([Fraction(1, 2)], 4)
     with pytest.raises(NonIntegralCoefficient):
         f.integer_coeffs()
+    # the error names the first coefficient that is not an integer
+    with pytest.raises(NonIntegralCoefficient, match="coefficient 2 is 1/3"):
+        PowerSeries([1, 2, Fraction(1, 3), Fraction(1, 2)]).integer_coeffs()
+    assert PowerSeries([Fraction(4, 2), -3, 0]).integer_coeffs() == [2, -3, 0]
+    # integers over a denominator that is not 1
+    assert (PowerSeries([2, 4]) / 2).integer_coeffs() == [1, 2]
 
 
 # =========================================================================
@@ -238,9 +245,50 @@ def test_kernel_div_matches_long_division(seed):
         assert _ref_mul(got.coeffs, g.coeffs, N) == list(f.coeffs[:N + 1])
 
 
+@pytest.mark.parametrize("f,g", [
+    # a constant term of -2: the quotient carries powers of it to order 40
+    (_exact_series(random.Random(5), 40, Fraction(1, 3)),
+     _exact_series(random.Random(6), 40, -2)),
+    (PowerSeries([1], 6), PowerSeries([Fraction(-3, 5), 0, 0, 1], 6)),
+    (_exact_series(random.Random(7), 12, 0), PowerSeries([Fraction(7, 2)], 12)),
+    (PowerSeries([Fraction(2, 3)], 0), PowerSeries([-5], 0)),
+], ids=["order_40_constant_minus_2", "sparse_divisor", "constant_divisor", "order_0"])
+def test_kernel_div_edge_cases(f, g):
+    N = min(f.N, g.N)
+    got = f / g
+    assert got.N == N and got.coeffs == tuple(_ref_div(f.coeffs, g.coeffs, N))
+    assert all(type(c) is Fraction for c in got.coeffs)
+
+
+def test_series_equality_ignores_the_denominator():
+    assert PowerSeries([Fraction(2, 4)]) == PowerSeries([Fraction(1, 2)])
+    # sqrt holds its integer result over 4^N; equal to the same integers over 1
+    root = PowerSeries([1, -4], 6).sqrt()
+    assert root == PowerSeries([1, -2, -2, -4, -10, -28, -84], 6)
+    assert root != PowerSeries([1, -2, -2, -4, -10, -28, -85], 6)
+    assert PowerSeries([1, 2], 3) != PowerSeries([1, 2], 4)
+    assert PowerSeries([1]) != Fraction(1) and PowerSeries([1]) != [1]
+    z = PowerSeries([0, 1], 5)
+    assert (z * Fraction(2, 3)) / Fraction(2, 3) == z
+    # a negative constant term leaves a negative denominator
+    assert PowerSeries([1, 1], 2) / -1 == PowerSeries([-1, -1], 2)
+    assert (PowerSeries([1, 1], 2) / -1).integer_coeffs() == [-1, -1, 0]
+
+
+def test_series_coeffs_are_fractions():
+    f = _exact_series(random.Random(8), 10, 1)
+    g = PowerSeries([0, 1, 2], 10)
+    for s in (PowerSeries([1, 2, 3]), geometric(4), exp_poly(3, 6), monomial(5, 2, 4),
+              f + g, f - g, 2 - f, f * g, f / geometric(10), 1 / f, f.sqrt(),
+              f.compose(g)):
+        assert all(type(c) is Fraction for c in s.coeffs)
+        assert [s[n] for n in range(s.N + 1)] == list(s.coeffs)
+    with pytest.raises(IndexError):
+        g[11]
+
+
 def test_gf_rational_is_series_division():
-    N = 30
-    for num, den in ((NUM_14_2_3, DEN_14_2_3), (NUM_1_24_3, DEN_1_24_3)):
+    for N, (num, den) in product((30, 200), ((NUM_14_2_3, DEN_14_2_3), (NUM_1_24_3, DEN_1_24_3))):
         f, g = PowerSeries(num, N).coeffs, PowerSeries(den, N).coeffs
         assert gf_coeffs_rational(num, den, N) == _ref_div(f, g, N)
     with pytest.raises(DivByZeroConstant):
