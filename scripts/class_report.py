@@ -19,8 +19,11 @@ def main():
                     help="also dump the full report as JSON")
     args = ap.parse_args()
 
-    n_max = args.n_max or default_horizon(args.k)
-    table = build_table(args.k, n_max)
+    n_max = default_horizon(args.k) if args.n_max is None else args.n_max
+    try:
+        table = build_table(args.k, n_max)
+    except ValueError as exc:
+        ap.error(str(exc))
     rep = wilf_classes(table)
 
     print(f"k={args.k}, n up to {n_max}: {len(rep.classes)} classes")

@@ -21,8 +21,11 @@ def main():
 
     print("k  predicted  equal_ns        strict_ns       ok")
     for k in range(args.kmin, args.kmax + 1):
-        n_max = args.n_max or default_horizon(k)
-        res = check_beta_threshold(k, n_max)
+        n_max = default_horizon(k) if args.n_max is None else args.n_max
+        try:
+            res = check_beta_threshold(k, n_max)
+        except ValueError as exc:
+            ap.error(f"k={k}: {exc}")
         print("%-2d %-10d %-15s %-15s %s" % (
             k, res["threshold_n"],
             ",".join(map(str, res["equal_ns"])) or "-",

@@ -16,7 +16,11 @@
 #  the same embeddings up to a renaming of host blocks, while the listing
 #  (iter_avoiders) walks every prefix, cut at the first containment, keeps
 #  only the prefix's RGF word, builds each avoider from it with core's
-#  builder, and is the oracle the count is tested against.
+#  builder, and is the oracle the count is tested against.  The count
+#  keeps each key's moves in a move table keyed by (key, need clipped at
+#  0, last level or not): a level's need <= 0 entries serve the next level
+#  too, the rest only their own; on the last level an unshut child skips
+#  its rebuild.
 #
 ###############################################################################
 
@@ -301,9 +305,19 @@ def avoider_counts(n, tau, shards=1):
     and the new one included.  A dead block never takes another element, so
     it leaves the count with every state that still needs it.  States that
     can no longer reach k within the elements left are dropped, and the
-    prefixes of [n - 1] count their children from their states.  No
-    recursion limit bounds n.  shards is checked (it must be positive) but
-    does not split the work: the counts are the same for every value.
+    prefixes of [n - 1] count their children from their states.
+
+    A slot's moves, (bi, child key, u, lost, shut) for each block choice
+    bi, depend only on its key, on need clipped at 0 and on whether the
+    level is the last (the one level where need is k - 1).  A move table
+    holds them, one per level: at need <= 0 moves are the same at every
+    depth, so a level takes over the entries of the level before for the
+    keys it meets again, and drops the others (keeping every depth's
+    entries took 2.6 times the memory on 14/23 at n = 22).  On the last
+    level an unshut child leaves settle once its dead blocks are known, as
+    its u cancels out of u + free + 1.  No recursion limit bounds n.
+    shards is checked (it must be positive) but does not split the work:
+    the counts are the same for every value.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -318,10 +332,11 @@ def avoider_counts(n, tau, shards=1):
     # pattern block i to it with j elements placed
     weight = [[1 << 8 * (i * (k + 1) + j) for i in range(len(end))] for j in range(k + 1)]
 
-    def settle(child, keyed):
+    def settle(child, last):
         """(key or None, u, lost, shut) for a child's states, lost being the
         number of its blocks that die; shut means that no free block and
-        not the new block may take the next element."""
+        not the new block may take the next element.  On the last level
+        there is no key, and an unshut child's u is left at 0."""
         used = set().union(*child)
         used.discard(-1)
         dead = set()
@@ -336,6 +351,8 @@ def avoider_counts(n, tau, shards=1):
                         keep = keep.intersection(m)
             shut = keep is not used
             dead |= used - keep
+            if last and not shut:
+                return None, 0, len(dead), False
             if dead:
                 # a state goes when an open pattern block (one with an
                 # element past j) sits on a dead block, and a closed one
@@ -343,7 +360,11 @@ def avoider_counts(n, tau, shards=1):
                 live = {}
                 for m, j in child.items():
                     if not dead.isdisjoint(m):
-                        if any(i < len(m) and m[i] in dead for i in opened[j]):
+                        for i in opened[j]:
+                            if i < len(m) and m[i] in dead:
+                                m = None
+                                break
+                        if m is None:
                             continue
                         m = tuple([-1 if h in dead else h for h in m])
                     if live.get(m, -1) < j:
@@ -352,7 +373,7 @@ def avoider_counts(n, tau, shards=1):
                 used = set().union(*child)
                 used.discard(-1)
         u = len(used)
-        if not keyed:
+        if last:
             return None, u, len(dead), shut
         if u > 1:
             roles = dict.fromkeys(used, 0)
@@ -373,22 +394,33 @@ def avoider_counts(n, tau, shards=1):
     if n == 1:
         counts[1] = int(k > 1)  # the one partition of [1] contains only 1
         return counts
+    moves = {}
     level = {(0, 0, frozenset({((), 0)})): 1}
     for s in range(1, n):
         need = k - (n - s)
+        last = s == n - 1
+        # the need <= 0 moves of the level before serve the keys met again;
+        # canon holds one object per child key, so equal keys share memory
+        kept, moves, canon = (moves if need <= 0 else {}), {}, {}
         after = {}
         while level:
             (u, f, key), c = level.popitem()
-            states = dict(key)
-            shut = k - 1 in states.values()
-            for bi in range(u + 1):
-                child = place(states, bi, need)
-                if child is None:
-                    continue
-                if child is states:
-                    key2, u2, lost, shut2 = key, u, 0, shut
-                else:
-                    key2, u2, lost, shut2 = settle(child, s < n - 1)
+            out = moves.get(key)
+            if out is None:
+                out = kept.pop(key, None)
+                if out is None:
+                    states = dict(key)
+                    shut = k - 1 in states.values()
+                    out = []
+                    for bi in range(u + 1):
+                        child = place(states, bi, need)
+                        if child is states:
+                            out.append((bi, key, u, 0, shut))
+                        elif child is not None:
+                            key2, u2, lost, shut2 = settle(child, last)
+                            out.append((bi, canon.setdefault(key2, key2), u2, lost, shut2))
+                moves[key] = out
+            for bi, key2, u2, lost, shut2 in out:
                 # bi < u is one used block; bi == u stands for each of the
                 # f free blocks and for the new block
                 if bi < u:
@@ -400,7 +432,7 @@ def avoider_counts(n, tau, shards=1):
                 for w, new in ways:
                     counts[s] += w
                     free = 0 if shut2 else u + f + new - lost - u2
-                    if s < n - 1:
+                    if not last:
                         slot = (u2, free, key2)
                         after[slot] = after.get(slot, 0) + w
                     else:

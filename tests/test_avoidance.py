@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from partavoid import avoidance
 from partavoid.avoidance import (
     avoider_counts,
     avoids,
@@ -342,3 +343,42 @@ def test_counts_agree_with_every_closed_form_past_brute_force():
                     assert counts[n] == want, (str(tau), method, n)
                     checked.add(str(tau))
     assert len(checked) == 14 and "1/23/4" not in checked
+
+
+def test_walk_expands_each_key_once_and_only_cut_keys(monkeypatch):
+    # the move table expands a key once per level, and a need <= 0 key met
+    # again at the next level not at all; and it never hands a level moves
+    # made at another need: those keep states the cut would drop, which
+    # leaves the counts right but the keys unmerged, so only a spy on place
+    # sees it
+    calls = []
+    placer = avoidance._placer
+
+    def spy(k, pb):
+        place = placer(k, pb)
+
+        def wrapped(states, bi, need):
+            calls.append((frozenset(states.items()), bi, max(need, 0)))
+            return place(states, bi, need)
+        return wrapped
+
+    monkeypatch.setattr(avoidance, "_placer", spy)
+    for tau in iter_partitions(4):
+        calls.clear()
+        avoider_counts(12, tau)
+        assert all(j >= need - 1 for key, _, need in calls if need for _, j in key), str(tau)
+    # the walk whose keys recur most: its 10,238 slot moves need only
+    # 6,220 expansions
+    calls.clear()
+    avoider_counts(20, P("1/23/4"))
+    assert len(set(calls)) == len(calls)
+
+
+def test_counts_of_1_23_4_pinned_to_n20():
+    # the one pattern of [4] with no closed form, and the walk whose keys
+    # recur most.  For 5 <= n <= 20 these equal the fitted formula
+    # 2^(n-1) + (n^4 - 2n^3 + 23n^2 - 286n + 744)/12, unproved, so the
+    # values are pinned, not the formula
+    assert avoider_counts(20, P("1/23/4")) == [
+        0, 1, 2, 5, 14, 38, 92, 196, 378, 684, 1194, 2054, 3540, 6186,
+        11040, 20176, 37718, 71888, 139102, 272162, 536640]

@@ -675,3 +675,24 @@ print(sorted(m for m in ("fractions", "decimal") if m in sys.modules))
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "[]"
+
+
+@pytest.mark.parametrize("argv", [
+    ("class_report.py", "--k", "3", "--n-max", "3"),
+    ("class_report.py", "--k", "1"),
+    ("threshold_scan.py", "--kmin", "1", "--kmax", "2"),
+    ("threshold_scan.py", "--kmin", "3", "--kmax", "3", "--n-max", "3"),
+    ("class_report.py", "--k", "3", "--n-max", "0"),
+    ("threshold_scan.py", "--kmin", "3", "--kmax", "3", "--n-max", "0"),
+])
+def test_scripts_report_bad_ranges_as_usage_errors(argv):
+    # an out-of-range k or horizon is one error line and exit 2, never a
+    # traceback; --n-max 0 is a horizon given, not "use the default"
+    script = Path(__file__).resolve().parents[1] / "scripts" / argv[0]
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, str(script), *argv[1:]], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 2, done.stderr
+    assert "Traceback" not in done.stderr
+    errors = [line for line in done.stderr.splitlines() if "error:" in line]
+    assert len(errors) == 1 and errors[0].startswith(argv[0] + ": error: "), done.stderr
