@@ -19,13 +19,17 @@ def main():
                     help="horizon; default is per-k")
     args = ap.parse_args()
 
-    print("k  predicted  equal_ns        strict_ns       ok")
+    # every k is checked before anything is printed, so a bad range
+    # leaves stdout empty
+    results = {}
     for k in range(args.kmin, args.kmax + 1):
         n_max = default_horizon(k) if args.n_max is None else args.n_max
         try:
-            res = check_beta_threshold(k, n_max)
+            results[k] = check_beta_threshold(k, n_max)
         except ValueError as exc:
             ap.error(f"k={k}: {exc}")
+    print("k  predicted  equal_ns        strict_ns       ok")
+    for k, res in results.items():
         print("%-2d %-10d %-15s %-15s %s" % (
             k, res["threshold_n"],
             ",".join(map(str, res["equal_ns"])) or "-",

@@ -14,13 +14,17 @@
 #  and a prefix's future depends on its embeddings alone.  So the count
 #  (avoider_counts) goes level by level and merges the prefixes that have
 #  the same embeddings up to a renaming of host blocks, while the listing
-#  (iter_avoiders) walks every prefix, cut at the first containment, keeps
-#  only the prefix's RGF word, builds each avoider from it with core's
-#  builder, and is the oracle the count is tested against.  The count
-#  keeps each key's moves in a move table keyed by (key, need clipped at
-#  0, last level or not): a level's need <= 0 entries serve the next level
+#  (iter_avoiders) walks every prefix, cut at the first containment, and
+#  is the oracle the count is tested against.  The listing keeps each
+#  pending prefix's blocks, grows a child's with core's one growth step
+#  (copying only the block it extends), makes each avoider from its
+#  blocks without a sort, and places the last element by the dead blocks
+#  of the states one element short, as the count does.  The count keeps
+#  each key's moves in a move table keyed by (key, need clipped at 0,
+#  last level or not): a level's need <= 0 entries serve the next level
 #  too, the rest only their own; on the last level an unshut child skips
-#  its rebuild.
+#  its rebuild.  The block criterion runs one gap loop, which callers
+#  holding blocks in standard form call without the sort.
 #
 ###############################################################################
 
@@ -181,6 +185,22 @@ def rgf_contains(a, b):
 # block-level criterion for beta_{k,a} = 1..(a-1)(a+1)..k/a
 # =========================================================================
 
+def _beta_in_block(xs, k, a, n=None):
+    """The criterion of block_contains_beta for an ascending sequence xs and
+    1 <= a <= k, or of block_contains_beta_ambient when n is given; nothing
+    is checked, so callers with blocks in standard form skip the sort."""
+    s = len(xs)
+    if s < k - 1:
+        return False
+    if n is not None and (a == 1 and xs[0] > 1 or a == k and xs[-1] < n):
+        return True
+    # i elements below the gap after xs[i-1], s-i above
+    for i in range(max(a - 1, 1), min(s - k + a, s - 1) + 1):
+        if xs[i] > xs[i - 1] + 1:
+            return True
+    return False
+
+
 def block_contains_beta(block, k, a):
     """True iff some integer c in a gap of the block witnesses beta_{k,a}.
 
@@ -192,29 +212,14 @@ def block_contains_beta(block, k, a):
     """
     if not 1 <= a <= k:
         raise ValueError("need 1 <= a <= k")
-    s = len(block)
-    if s < k - 1:
-        return False
-    xs = sorted(block)
-    # i elements below the gap after xs[i-1], s-i above
-    for i in range(max(a - 1, 1), min(s - k + a, s - 1) + 1):
-        if xs[i] > xs[i - 1] + 1:
-            return True
-    return False
+    return _beta_in_block(sorted(block), k, a)
 
 
 def block_contains_beta_ambient(block, k, a, n):
     """Same criterion with c ranging over all of [n] minus the block."""
     if not 1 <= a <= k:
         raise ValueError("need 1 <= a <= k")
-    if len(block) < k - 1:
-        return False
-    xs = sorted(block)
-    if a == 1 and xs[0] > 1:
-        return True
-    if a == k and xs[-1] < n:
-        return True
-    return block_contains_beta(block, k, a)
+    return _beta_in_block(sorted(block), k, a, n)
 
 
 # =========================================================================
@@ -453,34 +458,47 @@ def count_avoiders(n, tau, shards=1):
 def iter_avoiders(n, tau):
     """Every partition of [n] that avoids tau, in lexicographic RGF order.
 
-    A walk over every prefix with the transition of _placer, keeping the
-    RGF word of the current prefix as it goes: a prefix that contains the
-    pattern is cut with its whole subtree, so no partition is searched from
-    scratch.  It is the oracle avoider_counts is tested against.  Pending
-    nodes wait on an explicit stack with the block count of their prefix,
-    children pushed last to first so that they come off in RGF order, and
-    no recursion limit bounds n.
+    A walk over every prefix with the transition of _placer, cut at the
+    first containment, so no partition is searched from scratch; it is the
+    oracle avoider_counts is tested against.  Pending prefixes wait on an
+    explicit stack with their blocks and states, children pushed last to
+    first so that they come off in RGF order, and no recursion limit bounds
+    n.  A child's blocks are its parent's grown by core's
+    SetPartition._grown, so no avoider is sorted.  Element n takes no
+    transition: it goes into every block, the new one included, in which
+    no state one element short completes the pattern.  Such a state names
+    the block that would, or, when element k would open a pattern block,
+    keeps element n inside its map's blocks (settle's dead blocks in
+    avoider_counts).
     """
     if n < 1:
         return
     tau, k, pb, _ = _pattern_data(tau)
     place = _placer(k, pb)
-    word = []
-    first = place({(): 0}, 0, k - n + 1)
-    # (element, its block, the blocks of its prefix, states)
-    stack = [] if first is None else [(1, 0, 1, first)]
+    grown = SetPartition._grown
+    tk = pb[k]  # the pattern block of element k
+    # (the element to place next, the blocks and the states of its prefix)
+    stack = [(1, (), {(): 0})]
     while stack:
-        s, bi, opened, states = stack.pop()
-        del word[s - 1:]  # back up to the parent's prefix, [s - 1]
-        word.append(bi + 1)
-        if s == n:
-            yield SetPartition._from_word(word)
+        x, blocks, states = stack.pop()
+        if x < n:
+            need = k - (n - x)
+            for b in range(len(blocks), -1, -1):
+                child = place(states, b, need)
+                if child is not None:
+                    stack.append((x + 1, grown(blocks, b, x), child))
             continue
-        need = k - (n - s - 1)
-        for b in range(opened, -1, -1):
-            child = place(states, b, need)
-            if child is not None:
-                stack.append((s + 1, b, opened + (b == opened), child))
+        choices = range(len(blocks) + 1)
+        dead = set()
+        for m, j in states.items():
+            if j == k - 1:
+                if tk < len(m):
+                    dead.add(m[tk])
+                else:
+                    dead.update(b for b in choices if b not in m)
+        for b in choices:
+            if b not in dead:
+                yield SetPartition._standard(grown(blocks, b, x), n)
 
 
 __all__ = [

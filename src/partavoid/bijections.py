@@ -44,9 +44,9 @@ from .core import (
     standardize,
 )
 from .avoidance import (
+    _beta_in_block,
     _pattern_data,
     avoids,
-    block_contains_beta_ambient,
     contains,
     iter_avoiders,
 )
@@ -239,11 +239,11 @@ def slide(pi, i, k, a):
         raise PreconditionViolated("slide needs 2 <= a <= k-1")
     if not 1 <= i <= len(pi.blocks):
         raise PreconditionViolated(f"no block {i}")
-    B = list(pi.blocks[i - 1])
+    B = pi.blocks[i - 1]
     n = pi.n
-    if not block_contains_beta_ambient(B, k, a, n):
+    if not _beta_in_block(B, k, a, n):
         raise PreconditionViolated(f"block {i} does not contain the position-{a} pattern")
-    if block_contains_beta_ambient(B, k, a + 1, n):
+    if _beta_in_block(B, k, a + 1, n):
         raise PreconditionViolated(f"block {i} contains the position-{a + 1} pattern")
     s = len(B)
     ell = s - k + 2
@@ -255,7 +255,7 @@ def slide(pi, i, k, a):
     gray = list(range(start, start + ell))
     if top and gray[-1] >= top[0]:
         raise BijectionError("gray interval would collide with the top segment")
-    return _transport_block(pi, i, low + gray + top)
+    return _transport_block(pi, i, [*low, *gray, *top])
 
 
 def _unslide(pi, i, k, a):
@@ -289,14 +289,14 @@ def phi_a(pi, k, a):
     if not 2 <= a <= k - 1:
         raise PreconditionViolated("phi_a needs 2 <= a <= k-1")
     n = pi.n
-    if any(block_contains_beta_ambient(b, k, a + 1, n) for b in pi.blocks):
+    if any(_beta_in_block(b, k, a + 1, n) for b in pi.blocks):
         raise PreconditionViolated(f"input contains the position-{a + 1} pattern")
     cur = pi
     for i in range(1, len(pi.blocks) + 1):
-        if block_contains_beta_ambient(cur.blocks[i - 1], k, a, n):
+        if _beta_in_block(cur.blocks[i - 1], k, a, n):
             cur = slide(cur, i, k, a)
     for b in cur.blocks:  # re-check the image verdict
-        if block_contains_beta_ambient(b, k, a, n):
+        if _beta_in_block(b, k, a, n):
             raise BijectionError("image fails to avoid the target pattern")
     return cur
 
@@ -306,12 +306,12 @@ def phi_a_inverse(rho, k, a):
     if not 2 <= a <= k - 1:
         raise PreconditionViolated("needs 2 <= a <= k-1")
     n = rho.n
-    if any(block_contains_beta_ambient(b, k, a, n) for b in rho.blocks):
+    if any(_beta_in_block(b, k, a, n) for b in rho.blocks):
         raise PreconditionViolated(f"input contains the position-{a} pattern")
     cur = rho
     for i in range(len(rho.blocks), 0, -1):
         b = cur.blocks[i - 1]
-        if block_contains_beta_ambient(b, k, a + 1, n):
+        if _beta_in_block(b, k, a + 1, n):
             cur = _unslide(cur, i, k, a)
     return cur
 
@@ -384,6 +384,15 @@ def two_block_varphi(pi, sigma):
     return SetPartition(out, pi.n)
 
 
+def _pair_pattern(b1, b2):
+    """standardize([b1, b2]) for two disjoint blocks in standard form, b1's
+    minimum the smaller, built from a rank map with nothing checked: the
+    images keep each block ascending and b1 first."""
+    rank = {x: r for r, x in enumerate(sorted(b1 + b2), start=1)}
+    return SetPartition._standard(
+        (tuple([rank[x] for x in b1]), tuple([rank[x] for x in b2])), len(rank))
+
+
 def two_block_varphi_inverse(rho, sigma):
     """Coalesce block pairs that realize sigma; inverts two_block_varphi.
 
@@ -401,7 +410,7 @@ def two_block_varphi_inverse(rho, sigma):
     pairs = ((i, j) for i, j in combinations(range(len(blocks)), 2)
              if min(len(blocks[i]), len(blocks[j])) >= lo
              and max(len(blocks[i]), len(blocks[j])) >= hi
-             and contains(standardize([blocks[i], blocks[j]]), sigma))
+             and contains(_pair_pattern(blocks[i], blocks[j]), sigma))
     merged = components(range(len(blocks)), pairs)
     return SetPartition([[x for i in c for x in blocks[i]] for c in merged], rho.n)
 

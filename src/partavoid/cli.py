@@ -23,8 +23,8 @@ from itertools import islice
 from types import SimpleNamespace
 
 from .avoidance import (
+    _beta_in_block,
     avoids,
-    block_contains_beta_ambient,
     contains,
     containment_witness,
     count_avoiders,
@@ -140,22 +140,30 @@ def cmd_avoid(args):
 # verify
 # =========================================================================
 
+# [kept, held]: the items verify's corpora kept and the items they held,
+# summed since cmd_verify last reset it
+_coverage = [0, 0]
+
+
 def _sample(items, seed, cap=20000):
     """The items as a list, in their order when there are at most cap of
     them; otherwise a uniform sample of cap of them, drawn by a reservoir
     (Algorithm R) that never holds more than cap, and the second return
-    value flags the loss of exhaustiveness."""
+    value flags the loss of exhaustiveness.  Both sizes are added to
+    _coverage."""
     items = iter(items)
     pool = list(islice(items, cap))
     rng = random.Random(seed)
-    sampled = False
+    seen = len(pool)
     for seen, item in enumerate(items, start=cap + 1):
-        sampled = True
         j = rng.randrange(seen)
         if j < cap:
             pool[j] = item
+    sampled = seen > len(pool)
     if sampled:
         print(f"note: sampled {cap} of the corpus", file=sys.stderr)
+    _coverage[0] += len(pool)
+    _coverage[1] += seen
     return pool, sampled
 
 
@@ -193,7 +201,7 @@ def _verify_slide(k, n, seed):
         by_block = {}  # block index i -> the pi whose i-th block slides
         for pi in pool:
             for i, block in enumerate(pi.blocks, start=1):
-                if block_contains_beta_ambient(block, k, a, n):
+                if _beta_in_block(block, k, a, n):
                     by_block.setdefault(i, []).append(pi)
         for i, src in by_block.items():
             problem = _replay(
@@ -315,12 +323,15 @@ def cmd_verify(args):
     n = dflt_n if args.n is None else args.n
     if n < 1 or (k is not None and k < 2):
         _fail(2, f"need --n >= 1 and --k >= 2, got n={n}, k={k}")
+    _coverage[:] = [0, 0]
     problem = check(k, n, args.seed)
     if problem:
         print(f"fail: {name}: {problem}")
         raise SystemExit(5)
     where = f"n={n}" if k is None else f"k={k}, n={n}"
-    print(f"pass: {name} ({where})")
+    kept, held = _coverage
+    cover = "exhaustive" if kept == held else f"sampled {kept} of {held}"
+    print(f"pass: {name} ({where}, {cover})")
     return 0
 
 

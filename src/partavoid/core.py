@@ -13,8 +13,10 @@
 #  alphabet rule given as a function of the prefix (the RGF words state
 #  theirs here, the R-words and the abc words theirs in bijections); one
 #  builder, SetPartition._from_word, turns a word into its partition in
-#  standard form without a sort; one reader, to_rgf, turns it back; and
-#  RGFWord is the one check of the growth rule.
+#  standard form without a sort; one step, SetPartition._grown, adds the
+#  next element to a prefix's blocks for a walk that keeps blocks instead
+#  of a word (the avoider listing); one reader, to_rgf, turns a partition
+#  back into its word; and RGFWord is the one check of the growth rule.
 #
 ###############################################################################
 
@@ -93,6 +95,17 @@ class SetPartition:
             else:
                 blocks[a - 1].append(x)
         return cls._standard(tuple(map(tuple, blocks)), len(word))
+
+    @staticmethod
+    def _grown(blocks, b, x):
+        """Standard-form blocks with x, larger than every element of them,
+        added to block b, or opening a new block when b == len(blocks): the
+        growth rule's one step.  The other blocks are shared, not copied."""
+        if b == len(blocks):
+            return (*blocks, (x,))
+        out = list(blocks)
+        out[b] += (x,)
+        return tuple(out)
 
     @classmethod
     def from_blocks(cls, blocks, n):

@@ -1,6 +1,6 @@
 import copy
 import pickle
-from itertools import islice, product
+from itertools import combinations, islice, product
 
 import pytest
 from hypothesis import given, settings
@@ -40,6 +40,7 @@ from partavoid.bijections import (
     two_block_gamma,
     two_block_varphi,
     two_block_varphi_inverse,
+    _pair_pattern,
     _unslide,
 )
 from partavoid.core import (
@@ -213,6 +214,15 @@ def test_two_block_inverse_matches_every_pair_search():
             for rho in iter_partitions(n):
                 if contains(rho, sigma):
                     assert two_block_varphi_inverse(rho, sigma) == _ref_varphi_inverse(rho, sigma), (rho, sigma)
+
+
+def test_pair_pattern_is_the_standard_form_of_the_pair():
+    # the inverse builds each pair's pattern from a rank map, unchecked
+    for pi in iter_partitions(7):
+        for b1, b2 in combinations(pi.blocks, 2):
+            got = _pair_pattern(b1, b2)
+            assert got == standardize([b1, b2]), (pi, b1, b2)
+            assert hash(got) == hash(standardize([b1, b2]))
 
 
 # =========================================================================

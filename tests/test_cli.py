@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import importlib.util
 import io
@@ -234,13 +235,29 @@ def test_verify_maps(capsys, name, flags):
     ("phi_134_2", "pass: phi_134_2 (n=7)"),
 ])
 def test_verify_defaults_exact_line(capsys, name, line):
+    # line is the pass line without its coverage; every default corpus is
+    # under the sampling cap, so the coverage is exhaustive
     rc, out, _ = run(capsys, "verify", "--map", name, "--seed", "17")
-    assert rc == 0 and out == line + "\n"
+    assert rc == 0 and out == line[:-1] + ", exhaustive)\n"
 
 
 def test_verify_reports_size(capsys):
     rc, out, _ = run(capsys, "verify", "--map", "psi", "--k", "3", "--n", "5")
-    assert rc == 0 and out.strip() == "pass: psi (k=3, n=5)"
+    assert rc == 0 and out.strip() == "pass: psi (k=3, n=5, exhaustive)"
+
+
+def test_verify_reports_sampled_coverage(capsys, monkeypatch):
+    # m of N sums what the map's corpora kept and what they held: phi_a at
+    # k = 5, n = 7 replays three corpora of 777 avoiders each; each command
+    # counts its own corpora only
+    monkeypatch.setattr(cli, "_sample", functools.partial(_sample, cap=100))
+    rc, out, err = run(capsys, "verify", "--map", "phi_a")
+    assert rc == 0 and out == "pass: phi_a (k=5, n=7, sampled 300 of 2331)\n"
+    assert err == "note: sampled 100 of the corpus\n" * 3
+    rc, out, _ = run(capsys, "verify", "--map", "two_block")
+    assert rc == 0 and out == "pass: two_block (k=4, n=7, sampled 100 of 225)\n"
+    rc, out, err = run(capsys, "verify", "--map", "psi", "--k", "3", "--n", "5")
+    assert rc == 0 and out == "pass: psi (k=3, n=5, exhaustive)\n" and err == ""
 
 
 @pytest.mark.parametrize("flags", [["--n", "0"], ["--k", "0"], ["--k", "4", "--n", "0"]])
@@ -276,14 +293,14 @@ def test_verify_far_past_the_recursion_limit(capsys):
     # the psi corpus at k = 2 is the one partition 1..n; listing it used to
     # recurse once per element
     rc, out, _ = run(capsys, "verify", "--map", "psi", "--k", "2", "--n", "1200")
-    assert rc == 0 and out == "pass: psi (k=2, n=1200)\n"
+    assert rc == 0 and out == "pass: psi (k=2, n=1200, exhaustive)\n"
 
 
 def test_verify_rgf_R_far_past_the_recursion_limit(capsys):
     # both word sets at k = 2 are the one word 1..1; the two generators
     # used to recurse once per letter
     rc, out, err = run(capsys, "verify", "--map", "rgf_R", "--k", "2", "--n", "1200")
-    assert rc == 0 and out == "pass: rgf_R (k=2, n=1200)\n" and err == ""
+    assert rc == 0 and out == "pass: rgf_R (k=2, n=1200, exhaustive)\n" and err == ""
 
 
 def test_sample_under_the_cap_is_the_corpus_in_walk_order(capsys):
@@ -540,7 +557,7 @@ CLI_GOLDEN = [
     (["avoid", "--sigma", "13/2", "--tau", "1/2"],
      "7aec87d947ec712758be67c44f788f1fcb56d27b5c2740108a9f7f9d01dfbcee"),
     (["verify", "--map", "psi", "--k", "3", "--n", "5"],
-     "491729e4dbb471eb2b32d0f0e6eaabcb7dcfbb00a1d6a3460e08acd87d5d307c"),
+     "cf54674fb9806dee7ae4e34b0be08b69124c651e98d08bc3fea2d55f0ff635a1"),
     (["table", "--k", "3", "--n-max", "5"],
      "572f1881acc9f382b5cc3638f4052f604239af79eb05e397040161d17a221ad8"),
     (["classes", "--k", "3", "--n-max", "5", "--format", "csv"],
@@ -654,7 +671,7 @@ assert "argparse" not in sys.modules
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.startswith("1\nCONTAINS\nS = 1 2\npass: psi (k=3, n=5)\n")
+    assert done.stdout.startswith("1\nCONTAINS\nS = 1 2\npass: psi (k=3, n=5, exhaustive)\n")
 
 
 def test_series_commands_never_import_fractions():
@@ -684,15 +701,17 @@ print(sorted(m for m in ("fractions", "decimal") if m in sys.modules))
     ("threshold_scan.py", "--kmin", "3", "--kmax", "3", "--n-max", "3"),
     ("class_report.py", "--k", "3", "--n-max", "0"),
     ("threshold_scan.py", "--kmin", "3", "--kmax", "3", "--n-max", "0"),
+    ("threshold_scan.py", "--kmin", "3", "--kmax", "5", "--n-max", "5"),
 ])
 def test_scripts_report_bad_ranges_as_usage_errors(argv):
     # an out-of-range k or horizon is one error line and exit 2, never a
-    # traceback; --n-max 0 is a horizon given, not "use the default"
+    # traceback, and nothing on stdout, not even the rows of the k that
+    # are in range; --n-max 0 is a horizon given, not "use the default"
     script = Path(__file__).resolve().parents[1] / "scripts" / argv[0]
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
     done = subprocess.run([sys.executable, str(script), *argv[1:]], env=env,
                           capture_output=True, text=True)
     assert done.returncode == 2, done.stderr
-    assert "Traceback" not in done.stderr
+    assert done.stdout == "" and "Traceback" not in done.stderr
     errors = [line for line in done.stderr.splitlines() if "error:" in line]
     assert len(errors) == 1 and errors[0].startswith(argv[0] + ": error: "), done.stderr
