@@ -18,15 +18,17 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--n-max", type=int, default=9)
     args = ap.parse_args()
+    if args.n_max < 2:  # the core's first level is n = 2
+        ap.error(f"need --n-max >= 2, got {args.n_max}")
 
-    g = core_gf_14_23(args.n_max)
+    g = core_gf_14_23(args.n_max).integer_coeffs()
     print("n   generated  [z^n]G  caps histogram")
     for n in range(2, args.n_max + 1):
         level = generate_14_23_core(n)
         hist = Counter(c.caps for c in level)
         tag = " ".join("%d:%d" % (j, hist[j]) for j in sorted(hist))
-        mark = "" if len(level) == g.coeffs[n] else "  MISMATCH"
-        print("%-3d %-10d %-7s %s%s" % (n, len(level), g.coeffs[n], tag, mark))
+        mark = "" if len(level) == g[n] else "  MISMATCH"
+        print("%-3d %-10d %-7s %s%s" % (n, len(level), g[n], tag, mark))
 
 
 if __name__ == "__main__":

@@ -18,6 +18,8 @@ def main():
     ap.add_argument("--n-max", type=int, default=None,
                     help="horizon; default is per-k")
     args = ap.parse_args()
+    if args.kmin > args.kmax:
+        ap.error(f"need --kmin <= --kmax, got {args.kmin} > {args.kmax}")
 
     # every k is checked before anything is printed, so a bad range
     # leaves stdout empty

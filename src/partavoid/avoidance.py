@@ -293,7 +293,7 @@ def _placer(k, pb):
     return place
 
 
-def avoider_counts(n, tau, shards=1):
+def avoider_counts(n, tau):
     """List c with c[d] = |Pi_d(tau)| for 1 <= d <= n, counted level by level.
 
     A prefix's future depends only on its states (see _placer), and place
@@ -321,13 +321,9 @@ def avoider_counts(n, tau, shards=1):
     entries took 2.6 times the memory on 14/23 at n = 22).  On the last
     level an unshut child leaves settle once its dead blocks are known, as
     its u cancels out of u + free + 1.  No recursion limit bounds n.
-    shards is checked (it must be positive) but does not split the work:
-    the counts are the same for every value.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    if shards < 1:
-        raise ValueError("shards must be positive")
     tau, k, pb, _ = _pattern_data(tau)
     place = _placer(k, pb)
     end = _block_ends(k, pb)
@@ -450,9 +446,9 @@ def avoider_counts(n, tau, shards=1):
     return counts
 
 
-def count_avoiders(n, tau, shards=1):
-    """Exact |Pi_n(tau)|; shards is checked as in avoider_counts."""
-    return avoider_counts(n, tau, shards)[n]
+def count_avoiders(n, tau):
+    """Exact |Pi_n(tau)|."""
+    return avoider_counts(n, tau)[n]
 
 
 def iter_avoiders(n, tau):

@@ -65,8 +65,6 @@ from .core import (
 from .enumeration import closed_count
 from .wilf import build_table, default_horizon, wilf_classes
 
-ENV_SHARDS = "PARTAVOID_SHARDS"
-
 
 def _fail(code, message):
     print(f"error: {message}", file=sys.stderr)
@@ -80,17 +78,6 @@ def _parse_pattern(text):
         _fail(2, f"cannot parse pattern {text!r}: {exc}")
 
 
-def _default_shards():
-    raw = os.environ.get(ENV_SHARDS) or "1"
-    try:
-        shards = int(raw)
-    except ValueError:
-        shards = 0
-    if shards < 1:
-        _fail(2, f"{ENV_SHARDS} must be a positive integer, got {raw!r}")
-    return shards
-
-
 # =========================================================================
 # count
 # =========================================================================
@@ -101,7 +88,7 @@ def cmd_count(args):
         _fail(2, "need --n >= 1")
     values = []
     if args.method in ("oracle", "all"):
-        values.append(count_avoiders(args.n, tau, shards=args.shards))
+        values.append(count_avoiders(args.n, tau))
     for method, what in (("formula", "formula"), ("gf", "generating function")):
         if args.method not in (method, "all"):
             continue
@@ -342,7 +329,7 @@ def cmd_verify(args):
 def cmd_table(args):
     if args.k < 2 or args.n_max <= args.k:
         _fail(2, "need --k >= 2 and --n-max > --k")
-    table = build_table(args.k, args.n_max, shards=args.shards)
+    table = build_table(args.k, args.n_max)
     if args.fmt == "json":
         print(json.dumps({"k": table.k, "n_max": table.n_max,
                           "rows": {t: list(r) for t, r in sorted(table.rows.items())}},
@@ -355,7 +342,7 @@ def cmd_table(args):
 def cmd_classes(args):
     if args.k < 2 or args.n_max <= args.k:
         _fail(2, "need --k >= 2 and --n-max > --k")
-    table = build_table(args.k, args.n_max, shards=args.shards)
+    table = build_table(args.k, args.n_max)
     report = wilf_classes(table)
     if args.fmt == "csv":
         lines = ["class,pattern,status"]
@@ -372,8 +359,6 @@ def cmd_classes(args):
 # argument wiring
 # =========================================================================
 
-_SHARDS = (("--shards",), {"type": int, "default": None})
-
 # name -> (help, arguments, handler); each argument is (flags, keywords) for
 # add_argument.  Each handler looks its cmd_ function up by name at call
 # time, so a wrapper rebound over a module global later is called.
@@ -384,7 +369,8 @@ COMMANDS = {
         (("--n",), {"type": int, "required": True}),
         (("--method",), {"choices": ["oracle", "formula", "gf", "all"],
                          "default": "oracle"}),
-        _SHARDS,
+        # no effect; kept only because perfbench/run.py's traced pass sends it
+        (("--shards",), {"type": int, "default": 1}),
     ], lambda args: cmd_count(args)),
     "avoid": ("containment verdict", [
         (("--sigma",), {"required": True, "help": "host partition text"}),
@@ -400,13 +386,11 @@ COMMANDS = {
         (("--k",), {"type": int, "required": True}),
         (("--n-max",), {"type": int, "dest": "n_max", "default": None}),
         (("--format",), {"choices": ["csv", "json"], "default": "csv", "dest": "fmt"}),
-        _SHARDS,
     ], lambda args: cmd_table(args)),
     "classes": ("empirical Wilf classes", [
         (("--k",), {"type": int, "required": True}),
         (("--n-max",), {"type": int, "dest": "n_max", "default": None}),
         (("--format",), {"choices": ["csv", "json"], "default": "json", "dest": "fmt"}),
-        _SHARDS,
     ], lambda args: cmd_classes(args)),
 }
 
@@ -491,10 +475,8 @@ def main(argv=None):
 
 
 def _dispatch(args):
-    shards = getattr(args, "shards", 1)  # avoid and verify take no shards
-    if shards is None:
-        args.shards = _default_shards()
-    elif shards < 1:
+    shards = getattr(args, "shards", 1)  # only count takes --shards
+    if shards < 1:
         _fail(2, f"need --shards >= 1, got {shards}")
     if getattr(args, "n_max", 0) is None:  # table and classes
         args.n_max = default_horizon(args.k)

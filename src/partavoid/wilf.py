@@ -60,7 +60,7 @@ class CountTable(namedtuple("CountTable", "k n_max rows")):
         return "\n".join(lines) + "\n"
 
 
-def build_table(k, n_max, shards=1):
+def build_table(k, n_max):
     """The avoider counts of every pattern of [k] for n = k+1 .. n_max.
 
     Complementation is a Wilf-equivalence, so each complement pair
@@ -79,7 +79,7 @@ def build_table(k, n_max, shards=1):
         if comp in rows:
             rows[str(tau)] = rows[comp]
             continue
-        counts = avoider_counts(n_max, tau, shards=shards)
+        counts = avoider_counts(n_max, tau)
         rows[str(tau)] = tuple(counts[n] for n in range(k + 1, n_max + 1))
     return CountTable(k, n_max, dict(sorted(rows.items())))
 

@@ -4,7 +4,9 @@ Run `pytest tests/test_acceptance.py -v` and read the PASSED/FAILED column;
 with -s each test also prints its own `criterion N: PASS` line and timing.
 """
 
+import io
 import time
+from contextlib import redirect_stderr, redirect_stdout
 
 from partavoid.avoidance import avoider_counts, avoids, contains, count_avoiders
 from partavoid.bijections import (
@@ -24,6 +26,7 @@ from partavoid.bijections import (
     two_block_varphi,
     two_block_varphi_inverse,
 )
+from partavoid.cli import main
 from partavoid.core import (
     SetPartition,
     iter_partitions,
@@ -218,9 +221,15 @@ def test_c8_conjecture_evidence():
 
 
 def test_c9_shard_determinism():
+    # count's --shards is checked and has no other effect: the same bytes
     t0 = time.perf_counter()
-    rows = [avoider_counts(8, P("14/23"), shards=s) for s in (1, 2, 8)]
-    assert rows[0] == rows[1] == rows[2]
-    tables = [build_table(4, 6, shards=s).rows for s in (1, 2, 8)]
-    assert tables[0] == tables[1] == tables[2]
+    argv = ["count", "--method", "oracle", "--pattern", "14/23", "--n", "8"]
+    outputs = []
+    for extra in ([], ["--shards", "1"], ["--shards", "2"], ["--shards", "8"]):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            assert main(argv + extra) == 0
+        outputs.append((out.getvalue(), err.getvalue()))
+    assert outputs[0] == (f"{count_avoiders(8, P('14/23'))}\n", "")
+    assert all(o == outputs[0] for o in outputs)
     report(9, t0)

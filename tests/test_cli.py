@@ -87,23 +87,17 @@ def test_count_shard_split_agrees(capsys):
 
 
 def test_count_env_shards(capsys, monkeypatch):
-    monkeypatch.setenv("PARTAVOID_SHARDS", "5")
-    rc, out, _ = run(capsys, "count", "--pattern", "12/34", "--n", "6", "--method", "oracle")
-    assert rc == 0 and out.strip() == "122"
+    # PARTAVOID_SHARDS is not read, whatever it holds
+    for raw in ("abc", "0", "5"):
+        monkeypatch.setenv("PARTAVOID_SHARDS", raw)
+        rc, out, err = run(capsys, "count", "--pattern", "12/34", "--n", "6")
+        assert rc == 0 and out == "122\n" and err == "", raw
 
 
 @pytest.mark.parametrize("shards", ["0", "-1"])
 def test_count_bad_shards_exits_2(capsys, shards):
     rc, out, err = run_fail(capsys, "count", "--pattern", "12/34", "--n", "5",
                             "--shards", shards)
-    assert rc == 2 and out == ""
-    assert err.startswith("error:") and len(err.splitlines()) == 1
-
-
-@pytest.mark.parametrize("raw", ["abc", "0"])
-def test_count_bad_env_shards_exits_2(capsys, monkeypatch, raw):
-    monkeypatch.setenv("PARTAVOID_SHARDS", raw)
-    rc, out, err = run_fail(capsys, "count", "--pattern", "12/34", "--n", "5")
     assert rc == 2 and out == ""
     assert err.startswith("error:") and len(err.splitlines()) == 1
 
@@ -391,6 +385,13 @@ def test_classes_json(capsys):
     assert all(c["status"] == "proved" for c in d["classes"])
 
 
+@pytest.mark.parametrize("sub", ["table", "classes"])
+def test_table_and_classes_take_no_shards(capsys, sub):
+    rc, out, err = run_fail(capsys, sub, "--k", "3", "--n-max", "5", "--shards", "2")
+    assert rc == 2 and out == "" and err.startswith("usage: partavoid ")
+    assert err.splitlines()[-1] == "partavoid: error: unrecognized arguments: --shards 2"
+
+
 def test_classes_csv(capsys):
     rc, out, _ = run(capsys, "classes", "--k", "3", "--n-max", "7", "--format", "csv")
     lines = out.strip().splitlines()
@@ -461,8 +462,7 @@ def _argv(draw):
         # no --n-max means the default horizon, past n = 8 from k = 4 on
         n_max = draw(_ints(k + 1, 8) if k >= 4 else _rare(_ints(k + 1, 8), st.none()))
         opts = [("--k", str(k)), ("--n-max", n_max),
-                ("--format", draw(_rare(st.sampled_from(["csv", "json"]), st.just("xml")))),
-                ("--shards", draw(_ints(1, 3)))]
+                ("--format", draw(_rare(st.sampled_from(["csv", "json"]), st.just("xml"))))]
     elif sub == "verify":
         opts = [("--map", draw(_rare(st.sampled_from(sorted(VERIFY)), st.just("nope")))),
                 ("--k", draw(_ints(2, 5))), ("--n", draw(_ints(1, 8))),
@@ -535,9 +535,9 @@ CLI_GOLDEN = [
     (["verify", "-h"],
      "0ea91515d86794c831558c175ca120d998ba51cdf3a3777f1c9b26e7af99c8a2"),
     (["table", "-h"],
-     "511244c5c79b29d465575ed8856b1c064cd71000cf414136b494831c1d70b6e1"),
+     "f32191f526d80fd899046be5838ab62c7a3f624977fe0a89e8739ec966431e00"),
     (["classes", "-h"],
-     "31ea985801d4800ab5da50797db612265e97c782ca9d9ac3ff61e443e96cd65b"),
+     "bc1b452bf5798a16152e8d0a811fdee9e6a5b2f7541c77692b4b916fc85b7a37"),
     (["junk"],
      "590d7055515e968eed0fab1e7babed6af92ce9b219eb8be13ee0b312fb4ea8a2"),
     (["--n", "3", "count"],
@@ -702,6 +702,10 @@ print(sorted(m for m in ("fractions", "decimal") if m in sys.modules))
     ("class_report.py", "--k", "3", "--n-max", "0"),
     ("threshold_scan.py", "--kmin", "3", "--kmax", "3", "--n-max", "0"),
     ("threshold_scan.py", "--kmin", "3", "--kmax", "5", "--n-max", "5"),
+    ("threshold_scan.py", "--kmin", "5", "--kmax", "3"),
+    ("core_growth.py", "--n-max", "-1"),
+    ("core_growth.py", "--n-max", "0"),
+    ("core_growth.py", "--n-max", "1"),
 ])
 def test_scripts_report_bad_ranges_as_usage_errors(argv):
     # an out-of-range k or horizon is one error line and exit 2, never a
