@@ -142,7 +142,9 @@ def rgf_contains(a, b):
 
     This is the RGF notion of avoidance, provided for contrast; it does not
     coincide with the subset-based notion (12211 avoids 1122 even though
-    145/23 contains 12/34).
+    145/23 contains 12/34).  The search tries positions left to right for
+    each pattern letter on an explicit stack, so no recursion limit bounds
+    the length of b.
     """
     a = tuple(a)
     b = tuple(b)
@@ -150,35 +152,34 @@ def rgf_contains(a, b):
     n = len(a)
     if k > n:
         return False
-    mapping = {}
+    mapping = {}  # pattern letter -> word letter, order-preserving
     inverse = {}
-
-    def rec(i, j):
+    nxt = [0]  # nxt[j]: the next position of a that pattern letter j tries
+    fresh = []  # for each placed letter: the pattern letter it mapped, or None
+    while nxt:
+        j = len(nxt) - 1
         if j == k:
             return True
-        v = b[j]
-        for p in range(i, n - (k - j) + 1):
-            x = a[p]
-            if v in mapping:
-                if mapping[v] != x:
-                    continue
-                fresh = False
-            else:
-                if x in inverse:
-                    continue
-                if any((v2 < v) != (x2 < x) for v2, x2 in mapping.items()):
-                    continue
-                mapping[v] = x
-                inverse[x] = v
-                fresh = True
-            if rec(p + 1, j + 1):
-                return True
-            if fresh:
-                del mapping[v]
-                del inverse[x]
-        return False
-
-    return rec(0, 0)
+        p = nxt[j]
+        if p > n - (k - j):  # no room left for the letters after j: back up
+            nxt.pop()
+            if fresh and (v := fresh.pop()) is not None:
+                del inverse[mapping.pop(v)]
+            continue
+        nxt[j] = p + 1
+        v, x = b[j], a[p]
+        if v in mapping:
+            if mapping[v] != x:
+                continue
+            fresh.append(None)
+        else:
+            if x in inverse or any((v2 < v) != (x2 < x) for v2, x2 in mapping.items()):
+                continue
+            mapping[v] = x
+            inverse[x] = v
+            fresh.append(v)
+        nxt.append(p + 1)
+    return False
 
 
 # =========================================================================
@@ -187,8 +188,8 @@ def rgf_contains(a, b):
 
 def _beta_in_block(xs, k, a, n=None):
     """The criterion of block_contains_beta for an ascending sequence xs and
-    1 <= a <= k, or of block_contains_beta_ambient when n is given; nothing
-    is checked, so callers with blocks in standard form skip the sort."""
+    1 <= a <= k; nothing is checked, so callers with blocks in standard
+    form skip the sort."""
     s = len(xs)
     if s < k - 1:
         return False
@@ -201,22 +202,14 @@ def _beta_in_block(xs, k, a, n=None):
     return False
 
 
-def block_contains_beta(block, k, a):
+def block_contains_beta(block, k, a, n=None):
     """True iff some integer c in a gap of the block witnesses beta_{k,a}.
 
     The witness condition is a-1 <= #{x in block : x < c} together with
-    k-a <= #{x in block : x > c}, for some c not in the block.  Here c is
-    required to lie strictly between min(block) and max(block); the variant
-    that also admits witnesses outside that range (which needs the ambient
-    ground-set size) is block_contains_beta_ambient.
+    k-a <= #{x in block : x > c}, for some c not in the block.  Without n,
+    c must lie strictly between min(block) and max(block); with the ground
+    set [n], c ranges over all of [n] minus the block.
     """
-    if not 1 <= a <= k:
-        raise ValueError("need 1 <= a <= k")
-    return _beta_in_block(sorted(block), k, a)
-
-
-def block_contains_beta_ambient(block, k, a, n):
-    """Same criterion with c ranging over all of [n] minus the block."""
     if not 1 <= a <= k:
         raise ValueError("need 1 <= a <= k")
     return _beta_in_block(sorted(block), k, a, n)
@@ -501,7 +494,6 @@ __all__ = [
     "avoids",
     "avoider_counts",
     "block_contains_beta",
-    "block_contains_beta_ambient",
     "containment_witness",
     "contains",
     "contains_bruteforce",

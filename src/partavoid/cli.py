@@ -135,9 +135,9 @@ _coverage = [0, 0]
 def _sample(items, seed, cap=20000):
     """The items as a list, in their order when there are at most cap of
     them; otherwise a uniform sample of cap of them, drawn by a reservoir
-    (Algorithm R) that never holds more than cap, and the second return
-    value flags the loss of exhaustiveness.  Both sizes are added to
-    _coverage."""
+    (Algorithm R) that never holds more than cap; and the number of items
+    seen, which exceeds the list's length when sampled.  Both sizes are
+    added to _coverage."""
     items = iter(items)
     pool = list(islice(items, cap))
     rng = random.Random(seed)
@@ -146,12 +146,11 @@ def _sample(items, seed, cap=20000):
         j = rng.randrange(seen)
         if j < cap:
             pool[j] = item
-    sampled = seen > len(pool)
-    if sampled:
+    if seen > len(pool):
         print(f"note: sampled {cap} of the corpus", file=sys.stderr)
     _coverage[0] += len(pool)
     _coverage[1] += seen
-    return pool, sampled
+    return pool, seen
 
 
 def _corpus(n, tau, seed):
@@ -204,13 +203,13 @@ def _verify_phi_a(k, n, seed):
         _fail(2, f"need --k >= 3 for phi_a, got k={k}")
     for a in range(2, k):
         lo = punctured_block_pattern(k, a)
-        src, sampled = _corpus(n, punctured_block_pattern(k, a + 1), seed)
+        src, seen = _corpus(n, punctured_block_pattern(k, a + 1), seed)
         problem = _replay(src, lambda pi: phi_a(pi, k, a),
                           lambda out: phi_a_inverse(out, k, a),
                           lambda pi, out: avoids(out, lo))
         if problem:
             return f"a={a}: {problem}"
-        if a < k - 1 and not sampled and len(src) != count_avoiders(n, lo):
+        if a < k - 1 and seen == len(src) and len(src) != count_avoiders(n, lo):
             return f"not surjective at a={a} n={n}"
     return None
 
@@ -241,15 +240,15 @@ def _verify_psi(k, n, seed):
         avoids(out, beta) and not has_forbidden_pair(out, k)))
 
 
-def _verify_words(n, words, enc, dec, pattern):
-    words = list(words)
+def _verify_words(n, seed, words, enc, dec, pattern):
+    words, seen = _sample(words, seed)
     pat = SetPartition.parse(pattern)
     problem = _replay(words, enc, dec, lambda w, p: avoids(p, pat))
     if problem:
         return problem
     expected = count_avoiders(n, pat)
-    if len(words) != expected:
-        return f"count mismatch: {len(words)} words vs {expected} avoiders"
+    if seen != expected:
+        return f"count mismatch: {seen} words vs {expected} avoiders"
     return None
 
 
@@ -291,9 +290,10 @@ VERIFY = {
     "two_block": (_verify_two_block, 4, 7),
     "psi": (_verify_psi, 4, 8),
     "words_14_2_3": (lambda k, n, seed: _verify_words(
-        n, iter_abc_words(n, star=True), encode_14_2_3, decode_14_2_3, "14/2/3"), None, 8),
+        n, seed, iter_abc_words(n, star=True), encode_14_2_3, decode_14_2_3, "14/2/3"),
+        None, 8),
     "words_1_24_3": (lambda k, n, seed: _verify_words(
-        n, iter_abc_words(n, doublestar=True), encode_1_24_3, decode_1_24_3, "1/24/3"),
+        n, seed, iter_abc_words(n, doublestar=True), encode_1_24_3, decode_1_24_3, "1/24/3"),
         None, 8),
     "rgf_R": (_verify_rgf_R, 4, 8),
     "core_14_23": (_verify_core, None, 8),

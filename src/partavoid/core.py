@@ -1,8 +1,10 @@
 ###############################################################################
 #
 #  Set partitions of [n] = {1, ..., n} in standard form, the correspondence
-#  with restricted growth functions, and the exhaustive generators (partitions,
-#  matchings, weak compositions) that the counting oracle and the tables use.
+#  with restricted growth functions, the exhaustive generator of partitions
+#  (the patterns of [k] for the tables, a verify corpus, the tests' naive
+#  filters), and the Matching and Composition types that the 134/2
+#  decomposition returns.
 #
 #  Standard form: blocks sorted by minimum element, elements ascending inside
 #  each block.  Text format: "1 3/2 5 6/4", or compact "13/25/4" when every
@@ -281,9 +283,6 @@ class RGFWord(tuple):
             raise InvalidRGF(f"cannot read RGF text {text!r}")
         return cls(int(ch) for ch in text)
 
-    def to_partition(self):
-        return SetPartition.from_rgf(self)
-
     def __str__(self):
         if max(self) <= 9:
             return "".join(str(a) for a in self)
@@ -374,45 +373,15 @@ class Matching(SetPartition):
         return sum(1 for b in self.blocks if len(b) == 1)
 
 
-def iter_matchings(k, f):
-    """All matchings of [2k+f] with exactly k doubletons and f singletons."""
-    n = 2 * k + f
-    if n == 0:
-        yield Matching([], 0)
-        return
-
-    def rec(avail, pairs_left, singles_left, acc):
-        if not avail:
-            yield Matching(list(acc), n)
-            return
-        x = avail[0]
-        rest = avail[1:]
-        if singles_left:
-            acc.append((x,))
-            yield from rec(rest, pairs_left, singles_left - 1, acc)
-            acc.pop()
-        if pairs_left:
-            for i, y in enumerate(rest):
-                acc.append((x, y))
-                yield from rec(rest[:i] + rest[i + 1:], pairs_left - 1, singles_left, acc)
-                acc.pop()
-
-    yield from rec(tuple(range(1, n + 1)), k, f, [])
-
-
 def m_counts(n):
-    """m_count(0), ..., m_count(n), by m(i) = m(i-1) + (i-1) m(i-2)."""
+    """The numbers of matchings of [0], ..., [n] (any number of fixed
+    points), by m(i) = m(i-1) + (i-1) m(i-2)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     m = [1, 1]
     for i in range(2, n + 1):
         m.append(m[-1] + (i - 1) * m[-2])
     return m[:n + 1]
-
-
-def m_count(n):
-    """Number of matchings of [n] with any number of fixed points."""
-    return m_counts(n)[n]
 
 
 class Composition(tuple):
@@ -431,25 +400,6 @@ class Composition(tuple):
     @property
     def total(self):
         return sum(self)
-
-
-def iter_compositions(total, k):
-    """All weak compositions of total into k parts, lexicographic."""
-    if k < 1:
-        raise ValueError("need at least one part")
-
-    def rec(remaining, parts_left, acc):
-        if parts_left == 1:
-            acc.append(remaining)
-            yield Composition(acc)
-            acc.pop()
-            return
-        for p in range(remaining + 1):
-            acc.append(p)
-            yield from rec(remaining - p, parts_left - 1, acc)
-            acc.pop()
-
-    yield from rec(total, k, [])
 
 
 # =========================================================================
@@ -516,14 +466,6 @@ def double_factorial(m):
     return out
 
 
-def falling(x, i):
-    """Falling factorial x(x-1)...(x-i+1)."""
-    out = 1
-    for j in range(i):
-        out *= x - j
-    return out
-
-
 def perfect_matchings(two_k):
     """Number of perfect matchings of [2k]: the odd double factorial
     1*3*...*(2k-1)."""
@@ -546,14 +488,10 @@ __all__ = [
     "components",
     "iter_rgf_words",
     "iter_partitions",
-    "iter_matchings",
-    "iter_compositions",
-    "m_count",
     "m_counts",
     "stirling2",
     "bell",
     "double_factorial",
-    "falling",
     "perfect_matchings",
     "single_block_pattern",
     "singletons_pattern",

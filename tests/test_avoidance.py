@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,7 +9,6 @@ from partavoid.avoidance import (
     avoider_counts,
     avoids,
     block_contains_beta,
-    block_contains_beta_ambient,
     containment_witness,
     contains,
     contains_bruteforce,
@@ -19,6 +20,7 @@ from partavoid.core import (
     RGFWord,
     SetPartition,
     iter_partitions,
+    iter_rgf_words,
     punctured_block_pattern,
     single_block_pattern,
     singletons_pattern,
@@ -162,6 +164,28 @@ def test_rgf_contains_pinned():
     assert rgf_contains(RGFWord.parse("1122"), RGFWord.parse("11"))
 
 
+def test_rgf_contains_matches_the_subsequence_filter():
+    # the slow oracle: some subsequence, its letters renamed by rank, is v
+    def naive(w, v):
+        for pos in combinations(range(len(w)), len(v)):
+            sub = [w[i] for i in pos]
+            rank = {x: r for r, x in enumerate(sorted(set(sub)), start=1)}
+            if tuple(rank[x] for x in sub) == v:
+                return True
+        return False
+
+    patterns = [tuple(v) for m in range(1, 5) for v in iter_rgf_words(m)]
+    for n in range(1, 7):
+        for w in iter_rgf_words(n):
+            for v in patterns:
+                assert rgf_contains(w, v) == naive(w, v), (w, v)
+
+
+def test_rgf_contains_far_past_the_recursion_limit():
+    # the search keeps one position per pattern letter on an explicit stack
+    assert rgf_contains([1] * 1200, [1] * 1100)
+
+
 def test_rgf_implication_direction():
     """Word-level containment forces partition-level containment; the
     converse fails, witnessed by 145/23 versus 12/34."""
@@ -198,15 +222,15 @@ def test_block_criterion_matches_contains_interior():
 
 def test_block_criterion_ambient_boundary():
     # a block at the floor of [n] needs outside room below for a = 1
-    assert not block_contains_beta_ambient([1, 2, 3], 4, 1, 3)
-    assert block_contains_beta_ambient([2, 3, 4], 4, 1, 4)
-    assert block_contains_beta_ambient([1, 2, 3], 4, 4, 4)
-    assert not block_contains_beta_ambient([2, 3, 4], 4, 4, 4)
+    assert not block_contains_beta([1, 2, 3], 4, 1, n=3)
+    assert block_contains_beta([2, 3, 4], 4, 1, n=4)
+    assert block_contains_beta([1, 2, 3], 4, 4, n=4)
+    assert not block_contains_beta([2, 3, 4], 4, 4, n=4)
     for n in range(1, 8):
         for pi in iter_partitions(n):
             for k in (3, 4):
                 for a in (1, k):
-                    via = any(block_contains_beta_ambient(b, k, a, n)
+                    via = any(block_contains_beta(b, k, a, n=n)
                               for b in pi.blocks)
                     assert via == contains(pi, punctured_block_pattern(k, a))
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from partavoid.avoidance import avoids, block_contains_beta_ambient, contains, iter_avoiders
+from partavoid.avoidance import avoids, block_contains_beta, contains, iter_avoiders
 from partavoid.bijections import (
     ABCWord,
     InvalidRWord,
@@ -44,6 +44,8 @@ from partavoid.bijections import (
     _unslide,
 )
 from partavoid.core import (
+    Composition,
+    Matching,
     SetPartition,
     iter_partitions,
     iter_rgf_words,
@@ -89,7 +91,7 @@ def test_slide_unslide_round_trip():
                 if not avoids(pi, hi):
                     continue
                 for i in range(1, len(pi.blocks) + 1):
-                    if not block_contains_beta_ambient(pi.blocks[i - 1], k, a, n):
+                    if not block_contains_beta(pi.blocks[i - 1], k, a, n=n):
                         continue
                     out = slide(pi, i, k, a)
                     assert _unslide(out, i, k, a) == pi
@@ -588,6 +590,8 @@ def test_phi_134_2_worked_example():
     lam, skel = phi_134_2(pi)
     assert tuple(lam) == (1, 2, 1)
     assert str(skel) == "14/2/35/6/78"
+    assert type(lam) is Composition and lam.k == 3 and lam.total == 4
+    assert type(skel) is Matching and skel.k == 3 and skel.f == 2
     assert phi_134_2_inverse(lam, skel) == pi
 
 

@@ -217,22 +217,21 @@ def test_verify_maps(capsys, name, flags):
     assert out.startswith("pass: " + name)
 
 
-@pytest.mark.parametrize("name,line", [
-    ("slide", "pass: slide (k=5, n=7)"),
-    ("phi_a", "pass: phi_a (k=5, n=7)"),
-    ("two_block", "pass: two_block (k=4, n=7)"),
-    ("psi", "pass: psi (k=4, n=8)"),
-    ("words_14_2_3", "pass: words_14_2_3 (n=8)"),
-    ("words_1_24_3", "pass: words_1_24_3 (n=8)"),
-    ("rgf_R", "pass: rgf_R (k=4, n=8)"),
-    ("core_14_23", "pass: core_14_23 (n=8)"),
-    ("phi_134_2", "pass: phi_134_2 (n=7)"),
-])
+@pytest.mark.parametrize("name,line", [pytest.param(name, line, id=name) for name, line in [
+    ("slide", "pass: slide (k=5, n=7, exhaustive)"),
+    ("phi_a", "pass: phi_a (k=5, n=7, exhaustive)"),
+    ("two_block", "pass: two_block (k=4, n=7, exhaustive)"),
+    ("psi", "pass: psi (k=4, n=8, exhaustive)"),
+    ("words_14_2_3", "pass: words_14_2_3 (n=8, exhaustive)"),
+    ("words_1_24_3", "pass: words_1_24_3 (n=8, exhaustive)"),
+    ("rgf_R", "pass: rgf_R (k=4, n=8, exhaustive)"),
+    ("core_14_23", "pass: core_14_23 (n=8, exhaustive)"),
+    ("phi_134_2", "pass: phi_134_2 (n=7, exhaustive)"),
+]])
 def test_verify_defaults_exact_line(capsys, name, line):
-    # line is the pass line without its coverage; every default corpus is
-    # under the sampling cap, so the coverage is exhaustive
+    # every default corpus is under the sampling cap
     rc, out, _ = run(capsys, "verify", "--map", name, "--seed", "17")
-    assert rc == 0 and out == line[:-1] + ", exhaustive)\n"
+    assert rc == 0 and out == line + "\n"
 
 
 def test_verify_reports_size(capsys):
@@ -252,6 +251,11 @@ def test_verify_reports_sampled_coverage(capsys, monkeypatch):
     assert rc == 0 and out == "pass: two_block (k=4, n=7, sampled 100 of 225)\n"
     rc, out, err = run(capsys, "verify", "--map", "psi", "--k", "3", "--n", "5")
     assert rc == 0 and out == "pass: psi (k=3, n=5, exhaustive)\n" and err == ""
+    # a word map holds no more than the cap either, and its count check
+    # compares every word listed, not only those kept, with the avoiders
+    rc, out, err = run(capsys, "verify", "--map", "words_14_2_3", "--n", "8")
+    assert rc == 0 and out == "pass: words_14_2_3 (n=8, sampled 100 of 871)\n"
+    assert err == "note: sampled 100 of the corpus\n"
 
 
 @pytest.mark.parametrize("flags", [["--n", "0"], ["--k", "0"], ["--k", "4", "--n", "0"]])
@@ -300,7 +304,7 @@ def test_verify_rgf_R_far_past_the_recursion_limit(capsys):
 def test_sample_under_the_cap_is_the_corpus_in_walk_order(capsys):
     items = list(iter_partitions(5))
     for cap in (len(items), len(items) + 1):
-        assert _sample(iter(items), 3, cap=cap) == (items, False)
+        assert _sample(iter(items), 3, cap=cap) == (items, len(items))
     assert capsys.readouterr().err == ""
 
 
@@ -309,8 +313,8 @@ def test_sample_over_the_cap_is_a_seeded_reservoir(capsys):
     draws = {seed: _sample(iter(items), seed, cap=10) for seed in (1, 2)}
     assert _sample(iter(items), 1, cap=10) == draws[1]
     assert draws[1][0] != draws[2][0]
-    for pool, sampled in draws.values():
-        assert sampled and len(set(pool)) == len(pool) == 10
+    for pool, seen in draws.values():
+        assert seen == len(items) and len(set(pool)) == len(pool) == 10
         assert set(pool) <= set(items)
     assert capsys.readouterr().err == "note: sampled 10 of the corpus\n" * 3
     # every item is kept with probability cap / len, here 1/2: about 1000
@@ -497,11 +501,12 @@ def test_argv_fuzz_exit_codes(argv):
 # =========================================================================
 
 @pytest.mark.parametrize("argv,digest", [
-    (["classes", "--k", "4", "--n-max", "8"],
-     "8def5b845b10662b4f4c824f987b442ea470f7dd667e912d046d7193add0fd15"),
-    (["classes", "--k", "5", "--n-max", "7", "--format", "csv"],
-     "0d09633f9f8e22d8515a59cc9611058621ec060f975a57a00f9e1848b6b8944b"),
-])
+    pytest.param(argv, digest, id=" ".join(argv)) for argv, digest in [
+        (["classes", "--k", "4", "--n-max", "8"],
+         "8def5b845b10662b4f4c824f987b442ea470f7dd667e912d046d7193add0fd15"),
+        (["classes", "--k", "5", "--n-max", "7", "--format", "csv"],
+         "0d09633f9f8e22d8515a59cc9611058621ec060f975a57a00f9e1848b6b8944b"),
+    ]])
 def test_classes_golden_bytes(capsys, argv, digest):
     rc, out, err = run(capsys, *argv)
     assert rc == 0 and err == ""
@@ -573,7 +578,8 @@ def _outcome(capsys, monkeypatch, argv):
 @pytest.mark.skipif(sys.version_info[:2] != (3, 11),
                     reason="argparse words help and errors differently by "
                            "version; the digests were taken on Python 3.11")
-@pytest.mark.parametrize("argv,digest", CLI_GOLDEN)
+@pytest.mark.parametrize("argv,digest", [
+    pytest.param(argv, digest, id=" ".join(argv) or "(none)") for argv, digest in CLI_GOLDEN])
 def test_cli_golden_bytes(capsys, monkeypatch, argv, digest):
     blob = json.dumps(_outcome(capsys, monkeypatch, argv))
     assert hashlib.sha256(blob.encode()).hexdigest() == digest
@@ -692,6 +698,32 @@ print(sorted(m for m in ("fractions", "decimal") if m in sys.modules))
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "[]"
+
+
+# each module, and the other partavoid modules that importing it loads
+_LOADS = {
+    "core": [],
+    "enumeration": ["core"],
+    "wilf": ["avoidance", "core"],
+    "cli": ["avoidance", "bijections", "core", "enumeration", "wilf"],
+}
+
+
+@pytest.mark.parametrize("module", list(_LOADS))
+def test_each_module_loads_only_what_it_imports(module):
+    # the package re-exports nothing, so importing one module in a fresh
+    # interpreter loads only the modules it imports itself
+    script = f"""
+import sys
+import partavoid.{module}
+print(sorted(m for m in sys.modules if m.startswith("partavoid.")))
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    expected = sorted(f"partavoid.{m}" for m in [module, *_LOADS[module]])
+    assert done.stdout == f"{expected}\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,12 +1,12 @@
 import random
 from fractions import Fraction
 from itertools import product
-from math import comb
+from math import comb, perm
 
 import pytest
 
 from partavoid.avoidance import avoids, count_avoiders
-from partavoid.core import SetPartition, falling, iter_partitions, stirling2
+from partavoid.core import SetPartition, iter_partitions, stirling2
 from partavoid.enumeration import (
     DEN_14_2_3,
     DEN_1_24_3,
@@ -343,7 +343,7 @@ def _ref_count_12_3_4(n):
     total = 1
     for k in range(1, n):
         for j in range(1, 3):
-            inner = sum(comb(j - 1, i - 1) * falling(k, i) for i in range(1, j + 1))
+            inner = sum(comb(j - 1, i - 1) * perm(k, i) for i in range(1, j + 1))
             total += stirling2(n - k, j) * inner
     return total
 
