@@ -20,11 +20,12 @@
 #  (copying only the block it extends), makes each avoider from its
 #  blocks without a sort, and places the last element by the dead blocks
 #  of the states one element short, as the count does.  The count keeps
-#  each key's moves in a move table keyed by (key, need clipped at 0,
-#  last level or not): a level's need <= 0 entries serve the next level
-#  too, the rest only their own; on the last level an unshut child skips
-#  its rebuild.  The block criterion runs one gap loop, which callers
-#  holding blocks in standard form call without the sort.
+#  each key's moves in a move table that serves every level but the last:
+#  keys leave out the empty embedding, so a move made at need <= 1 serves
+#  every such level, and from need 2 on a reused move has each child cut
+#  to the level's need; on the last level an unshut child skips its
+#  rebuild.  The block criterion runs one gap loop, which callers holding
+#  blocks in standard form call without the sort.
 #
 ###############################################################################
 
@@ -306,14 +307,22 @@ def avoider_counts(n, tau):
     prefixes of [n - 1] count their children from their states.
 
     A slot's moves, (bi, child key, u, lost, shut) for each block choice
-    bi, depend only on its key, on need clipped at 0 and on whether the
-    level is the last (the one level where need is k - 1).  A move table
-    holds them, one per level: at need <= 0 moves are the same at every
-    depth, so a level takes over the entries of the level before for the
-    keys it meets again, and drops the others (keeping every depth's
-    entries took 2.6 times the memory on 14/23 at n = 22).  On the last
-    level an unshut child leaves settle once its dead blocks are known, as
-    its u cancels out of u + free + 1.  No recursion limit bounds n.
+    bi, depend only on its key, on need and on whether the level is the
+    last (the one level where need is k - 1).  A move table holds them,
+    one per level, and a level takes over the entries of the level before
+    for the keys it meets again and drops the others (keeping every
+    depth's entries took 2.6 times the memory on 14/23 at n = 22).  Keys
+    leave out the empty map, the one state that need 1 drops, and a level
+    at need <= 1 adds it back before place, so such moves are the same at
+    every depth.  From need 2 on, a taken-over move is cut: its child key
+    loses the states with j < need, and settle renames the rest.  Dropping
+    states by j commutes with place and settle, so that is the move made
+    afresh, but for the order of blocks whose roles tie.  shut comes only
+    from states with j = k - 1 > need, and so does lost when the child is
+    unshut, the one case that reads it; both carry over.  The last level
+    makes its own moves: there an unshut child leaves settle once its dead
+    blocks are known, as its u cancels out of u + free + 1.  No recursion
+    limit bounds n.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -384,18 +393,26 @@ def avoider_counts(n, tau):
             child = {tuple([label[h] for h in m]): j for m, j in child.items()}
         return frozenset(child.items()), u, len(dead), shut
 
+    def cut(key, u, need):
+        """(key, u) of a child key made at need - 1, cut to need.  settle
+        finds no dead block in a key it made, so it only renames."""
+        child = {m: j for m, j in key if j >= need}
+        if len(child) == len(key):
+            return key, u
+        return settle(child, False)[:2]
+
     counts = [0] * (n + 1)
     if n == 1:
         counts[1] = int(k > 1)  # the one partition of [1] contains only 1
         return counts
     moves = {}
-    level = {(0, 0, frozenset({((), 0)})): 1}
+    level = {(0, 0, frozenset()): 1}
     for s in range(1, n):
         need = k - (n - s)
         last = s == n - 1
-        # the need <= 0 moves of the level before serve the keys met again;
-        # canon holds one object per child key, so equal keys share memory
-        kept, moves, canon = (moves if need <= 0 else {}), {}, {}
+        # canon holds one object per child key, so equal keys share
+        # memory, and cuts the cut of each child key
+        kept, moves, canon, cuts = ({} if last else moves), {}, {}, {}
         after = {}
         while level:
             (u, f, key), c = level.popitem()
@@ -405,14 +422,23 @@ def avoider_counts(n, tau):
                 if out is None:
                     states = dict(key)
                     shut = k - 1 in states.values()
+                    if need <= 1:
+                        states[()] = 0  # the empty map, left out of keys
                     out = []
                     for bi in range(u + 1):
                         child = place(states, bi, need)
                         if child is states:
                             out.append((bi, key, u, 0, shut))
                         elif child is not None:
+                            child.pop((), None)
                             key2, u2, lost, shut2 = settle(child, last)
                             out.append((bi, canon.setdefault(key2, key2), u2, lost, shut2))
+                elif need > 1:
+                    for i, (bi, key2, u2, lost, shut2) in enumerate(out):
+                        if key2 not in cuts:
+                            key3, u3 = cut(key2, u2, need)
+                            cuts[key2] = canon.setdefault(key3, key3), u3
+                        out[i] = (bi, *cuts[key2], lost, shut2)
                 moves[key] = out
             for bi, key2, u2, lost, shut2 in out:
                 # bi < u is one used block; bi == u stands for each of the

@@ -378,11 +378,14 @@ def test_counts_agree_with_every_closed_form_past_brute_force():
 
 
 def test_walk_expands_each_key_once_and_only_cut_keys(monkeypatch):
-    # the move table expands a key once per level, and a need <= 0 key met
-    # again at the next level not at all; and it never hands a level moves
-    # made at another need: those keep states the cut would drop, which
-    # leaves the counts right but the keys unmerged, so only a spy on place
-    # sees it
+    # the move table serves every level but the last.  Keys leave out the
+    # empty map, the one state that need 1 drops, so moves made at need <= 1
+    # serve every such level; from need 2 on, a key met again takes the
+    # level before's moves with each child key cut to this need.  So place
+    # sees no key at two consecutive levels (the last level excepted), and
+    # no state that the level before's need drops, except the empty map
+    # re-added at need <= 1: an uncut move keeps such states, which leaves
+    # the counts right but the keys unmerged, so only a spy on place sees it
     calls = []
     placer = avoidance._placer
 
@@ -390,7 +393,7 @@ def test_walk_expands_each_key_once_and_only_cut_keys(monkeypatch):
         place = placer(k, pb)
 
         def wrapped(states, bi, need):
-            calls.append((frozenset(states.items()), bi, max(need, 0)))
+            calls.append((frozenset(states.items()), bi, need, need == k - 1))
             return place(states, bi, need)
         return wrapped
 
@@ -398,12 +401,34 @@ def test_walk_expands_each_key_once_and_only_cut_keys(monkeypatch):
     for tau in iter_partitions(4):
         calls.clear()
         avoider_counts(12, tau)
-        assert all(j >= need - 1 for key, _, need in calls if need for _, j in key), str(tau)
+        assert len(set(calls)) == len(calls), str(tau)
+        assert all(j >= need - 1 or m == () and need <= 1
+                   for key, _, need, _ in calls for m, j in key), str(tau)
+        placed = {}
+        for key, _, need, last in calls:
+            if not last:
+                placed.setdefault(need, set()).add(key - {((), 0)})
+        for need, keys in placed.items():
+            assert keys.isdisjoint(placed.get(need - 1, ())), (str(tau), need)
     # the walk whose keys recur most: its 10,238 slot moves need only
-    # 6,220 expansions
+    # 3,657 expansions
     calls.clear()
     avoider_counts(20, P("1/23/4"))
-    assert len(set(calls)) == len(calls)
+    assert len(set(calls)) == len(calls) == 3657
+
+
+def test_counts_match_the_listing_for_patterns_of_k6():
+    # the cut moves against the listing, at every depth for every n, on
+    # patterns of [6] with 2 to 5 blocks whose walks cut the most moves,
+    # and on 1256/34 and 1/256/34, where the settle order of a cut key and
+    # of a fresh one can name alike blocks apart (so fewer keys merge)
+    for text in ("16/2345", "146/235", "1256/34", "16/23/45", "15/236/4",
+                 "15/26/34", "16/25/34", "1/256/34", "16/23/4/5", "1/23/46/5",
+                 "1/23/4/5/6", "13/2/4/5/6"):
+        tau = P(text)
+        listed = [0] + [len(list(iter_avoiders(d, tau))) for d in range(1, 9)]
+        for n in range(1, 9):
+            assert avoider_counts(n, tau) == listed[:n + 1], (text, n)
 
 
 def test_counts_of_1_23_4_pinned_to_n20():
