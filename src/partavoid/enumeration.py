@@ -12,8 +12,11 @@
 #  division scaled by powers of the divisor's constant term; sqrt runs the
 #  O(N^2) coefficient recurrence on integers scaled by (4d)^n; compose is
 #  Horner's rule from the last nonzero outer term, with each step truncated
-#  to the order that can still reach the result.  Integer results are read
-#  off with an exact divmod; Fractions are built only when coeffs is read.
+#  to the order that can still reach the result.  compose serves beta_k's
+#  EGF cross-check (and CI's check of the 14/23 transform); sigma_k's
+#  cross-check is a sum of exponentials, which needs no series at all.
+#  Integer results are read off with an exact divmod; Fractions are built
+#  only when coeffs is read.
 #  This module also owns the map from a pattern to the closed forms that
 #  count it, complements included: closed_count is the one lookup.
 #
@@ -21,9 +24,9 @@
 
 from itertools import accumulate
 from math import comb, factorial, lcm
-from operator import add, sub
+from operator import add, mul, sub
 
-from .core import m_counts, perfect_matchings, stirling2
+from .core import m_counts, stirling2
 
 
 class SeriesError(ValueError):
@@ -349,11 +352,19 @@ def count_1_234(n):
 
 
 def count_134_2(n):
-    """Avoiders of 134/2 via the composition-times-matching decomposition."""
-    total = 1
+    """Avoiders of 134/2 via the composition-times-matching decomposition.
+
+    An avoider with k >= 1 non-singleton blocks and f singletons is a
+    skeleton, k doubletons ((2k-1)!! matchings) with the f singletons
+    placed among them (C(2k+f, f) ways), whose doubletons grow interior
+    runs from the other n-2k-f elements (C(n-f-k-1, k-1) ways).  By
+    Chu-Vandermonde, sum_j C(j, 2k) C(n+k-1-j, k-1) = C(n+k, 3k), so the
+    sum over f collapses and the count is 1 + sum_{k>=1} (2k-1)!! C(n+k, 3k),
+    with the double factorial kept as a running product."""
+    total, matchings = 1, 1
     for k in range(1, n // 2 + 1):
-        total += perfect_matchings(2 * k) * sum(
-            comb(n - f - k - 1, k - 1) * comb(2 * k + f, f) for f in range(n - 2 * k + 1))
+        matchings *= 2 * k - 1
+        total += matchings * comb(n + k, 3 * k)
     return total
 
 
@@ -470,8 +481,31 @@ def egf_crosscheck_beta_k(N, k):
 
 
 def egf_crosscheck_sigma_k(N, k):
-    """n! * [z^n] exp_{k-1}(e^z - 1), exactly."""
-    return _egf_counts(exp_poly(k - 1, N).compose(exp_poly(N, N) - 1))
+    """n! * [z^n] exp_{k-1}(e^z - 1), exactly, for n = 0..N.
+
+    By the binomial theorem exp_{k-1}(e^z - 1) = sum_{j<k} (e^z - 1)^j / j!
+    is sum_{i<k} w_i e^(iz), with w_i = sum_{j=i}^{k-1} (-1)^(j-i) C(j, i) / j!,
+    so n! [z^n] is sum_i w_i i^n.  The weights are scaled to integers by
+    m! for m = k - 1, the powers i^n kept running, and each count read off
+    with an exact divmod by m!; a remainder raises.  Nothing here is
+    shared with count_sigma_k's Stirling sum or with the walk."""
+    if N < 0:
+        raise ValueError("order must be >= 0")
+    m = k - 1
+    den = factorial(max(m, 0))
+    weights = [sum((-1) ** (j - i) * comb(j, i) * (den // factorial(j))
+                   for j in range(i, m + 1)) for i in range(m + 1)]
+    out, powers = [], [1] * len(weights)
+    for n in range(N + 1):
+        total = sum(map(mul, weights, powers))
+        count, r = divmod(total, den)
+        if r:
+            from fractions import Fraction
+            raise NonIntegralCoefficient(
+                f"coefficient {n} times {n}! is {Fraction(total, den)}")
+        out.append(count)
+        powers = [p * i for i, p in enumerate(powers)]
+    return out
 
 
 # =========================================================================

@@ -6,7 +6,7 @@ from math import comb, perm
 import pytest
 
 from partavoid.avoidance import avoids, count_avoiders
-from partavoid.core import SetPartition, iter_partitions, stirling2
+from partavoid.core import SetPartition, iter_partitions, perfect_matchings, stirling2
 from partavoid.enumeration import (
     DEN_14_2_3,
     DEN_1_24_3,
@@ -37,6 +37,7 @@ from partavoid.enumeration import (
     gf_coeffs_rational,
     h_series_check,
     monomial,
+    _egf_counts,
     _poly_div_one_minus_t,
 )
 from partavoid.bijections import generate_14_23_core
@@ -338,6 +339,20 @@ def test_double_and_triple_sums(k4_rows):
         assert count_12_3_4(n) == k4_rows["12/3/4"][n - 1]
 
 
+def _ref_count_134_2(n):
+    # reference: the double sum over k arcs and the f free elements
+    total = 1
+    for k in range(1, n // 2 + 1):
+        total += perfect_matchings(2 * k) * sum(
+            comb(n - f - k - 1, k - 1) * comb(2 * k + f, f) for f in range(n - 2 * k + 1))
+    return total
+
+
+def test_count_134_2_matches_the_double_sum():
+    for n in range(151):
+        assert count_134_2(n) == _ref_count_134_2(n), n
+
+
 def _ref_count_12_3_4(n):
     # reference: S(m, 1) and S(m, 2) from the stirling2 table
     total = 1
@@ -468,9 +483,30 @@ def test_egf_crosschecks_refuse_a_non_integral_count(monkeypatch):
     # a faulty kernel must raise, not have its count truncated by int()
     faulty = PowerSeries([1, 1, Fraction(1, 3)], 2)
     monkeypatch.setattr(PowerSeries, "compose", lambda self, inner: faulty)
-    for crosscheck in (egf_crosscheck_beta_k, egf_crosscheck_sigma_k):
-        with pytest.raises(NonIntegralCoefficient, match="coefficient 2"):
-            crosscheck(2, 4)
+    with pytest.raises(NonIntegralCoefficient, match="coefficient 2"):
+        egf_crosscheck_beta_k(2, 4)
+    # sigma_k sums exponentials with weights over 3!: C(3, 1) off by one
+    # puts every count off by 1/6, from 1 at n = 0 to 7/6
+    monkeypatch.setattr("partavoid.enumeration.comb",
+                        lambda n, k: comb(n, k) + ((n, k) == (3, 1)))
+    with pytest.raises(NonIntegralCoefficient, match="coefficient 0 times 0! is 7/6"):
+        egf_crosscheck_sigma_k(2, 4)
+
+
+def _ref_egf_sigma_k(N, k):
+    # reference: exp_{k-1} composed with e^z - 1 through the series kernel
+    return _egf_counts(exp_poly(k - 1, N).compose(exp_poly(N, N) - 1))
+
+
+@pytest.mark.parametrize("k", range(2, 8))
+def test_egf_sigma_k_matches_the_composition(k):
+    for N in range(61):
+        assert egf_crosscheck_sigma_k(N, k) == _ref_egf_sigma_k(N, k), N
+
+
+@pytest.mark.parametrize("N, k", [(12, 12), (200, 4)])
+def test_egf_sigma_k_matches_the_composition_far_out(N, k):
+    assert egf_crosscheck_sigma_k(N, k) == _ref_egf_sigma_k(N, k)
 
 
 @pytest.mark.parametrize("k", [4, 5])
