@@ -9,12 +9,14 @@
 #  composition, and division without rounding.  A series is integer
 #  numerators over one integer denominator, and every operation
 #  works on those integers: products convolve them; division is long
-#  division scaled by powers of the divisor's constant term; sqrt runs the
-#  O(N^2) coefficient recurrence on integers scaled by (4d)^n; compose is
+#  division scaled by powers of the divisor's constant term; sqrt solves
+#  2 f h' = f' h on integers scaled by (4d)^n, one term per nonzero term
+#  of f, so the roots of 1 - 4z and 1 - 4z^2 take O(N); compose is
 #  Horner's rule from the last nonzero outer term, with each step truncated
-#  to the order that can still reach the result.  compose serves beta_k's
-#  EGF cross-check (and CI's check of the 14/23 transform); sigma_k's
-#  cross-check is a sum of exponentials, which needs no series at all.
+#  to the order that can still reach the result.  compose serves only CI's
+#  check of the 14/23 transform and the tests' references: beta_k's EGF
+#  cross-check is a product of exp(z^j/j!) over block sizes j, and
+#  sigma_k's a sum of exponentials, both on integer counts with no series.
 #  Integer results are read off with an exact divmod; Fractions are built
 #  only when coeffs is read.
 #  This module also owns the map from a pattern to the closed forms that
@@ -163,27 +165,39 @@ class PowerSeries:
         return _coerce(other, self.N) / self
 
     def sqrt(self):
-        """Square root with constant term 1, by the coefficient recurrence
-        h_0 = 1, h_n = (f_n - sum_{0<i<n} h_i h_{n-i}) / 2, run on integers.
+        """Square root with constant term 1, from the differential equation
+        2 f h' = f' h of h = sqrt(f), run on integers over the nonzero terms
+        of f only.
 
-        With f = F/d, H_n = h_n (4d)^n obeys
-        H_0 = 1, H_n = (F_n 4^n d^(n-1) - sum_{0<i<n} H_i H_{n-i}) / 2.
-        Every H_n is an integer, and even for n >= 1: by induction each
-        product in the sum is of two even numbers, so the sum and the
-        first term are multiples of 4.  The sum is twice the half-sum,
-        plus the middle square when n is even.  The result is H_n (4d)^(N-n)
-        over (4d)^N."""
+        Coefficient n - 1 of the equation is 2n h_n = sum_{0<i<=n} (3i - 2n)
+        f_i h_{n-i}.  With f = F/d, H_n = h_n (4d)^n obeys
+        2n H_n = sum_{0<i<=n} (3i - 2n) F_i 4^i d^(i-1) H_{n-i}.
+        Every H_n is an integer: the square recurrence
+        H_n = (F_n 4^n d^(n-1) - sum_{0<i<n} H_i H_{n-i}) / 2 keeps every
+        H_n for n >= 1 even, by induction, since each product in the sum is
+        of two even numbers, so the sum and the first term are multiples of
+        4.  So the division by 2n is exact.  The cost is O(N t) for t nonzero
+        terms of f: a dense f takes about N^2/2 products, twice the N^2/4
+        of the square recurrence.  The result is H_n (4d)^(N-n) over
+        (4d)^N."""
         d, F = self._den, self._num
         if F[0] != d:
             raise SqrtNonUnit("sqrt needs constant term 1")
-        H, q = [1], 4 * d
-        scale = 4  # 4^n d^(n-1)
-        for n in range(1, self.N + 1):
-            half = sum(H[i] * H[n - i] for i in range(1, (n + 1) // 2))
-            middle = H[n // 2] ** 2 if n % 2 == 0 else 0
-            H.append((F[n] * scale - middle) // 2 - half)
-            scale *= q
-        return _series([x * q ** (self.N - n) for n, x in enumerate(H)], q ** self.N, self.N)
+        q, N = 4 * d, self.N
+        terms = [(i, x * 4 ** i * d ** (i - 1))
+                 for i, x in enumerate(F[1:], start=1) if x]
+        H = [1]
+        for n in range(1, N + 1):
+            acc = 0
+            for i, c in terms:
+                if i > n:
+                    break
+                acc += (3 * i - 2 * n) * c * H[n - i]
+            H.append(acc // (2 * n))
+        scale = [1]
+        for _ in range(N):
+            scale.append(scale[-1] * q)
+        return _series(list(map(mul, H, reversed(scale))), scale[-1], N)
 
     def compose(self, inner):
         """self(inner); inner must vanish at 0.
@@ -461,23 +475,44 @@ def h_series_check(N):
     return BivariateSeries(rows)
 
 
-def _egf_counts(series):
-    """n! * [z^n] series for n = 0..N; a count that is not an integer
-    raises rather than being truncated."""
-    out, fact = [], 1
-    for n, x in enumerate(series._num):
-        fact *= n or 1
-        count, r = divmod(x * fact, series._den)
-        if r:
-            raise NonIntegralCoefficient(
-                f"coefficient {n} times {n}! is {series.coeffs[n] * fact}")
-        out.append(count)
-    return out
-
-
 def egf_crosscheck_beta_k(N, k):
-    """n! * [z^n] exp(exp_{k-1}(z) - 1), exactly."""
-    return _egf_counts(exp_poly(N, N).compose(exp_poly(k - 1, N) - 1))
+    """n! * [z^n] exp(exp_{k-1}(z) - 1), exactly, for n = 0..N.
+
+    exp(exp_{k-1}(z) - 1) is the product over j < k of exp(z^j/j!), one
+    factor per block size.  The counts of the factor j = 1 are all 1.
+    Multiplying counts a by exp(z^j/j!) picks the m blocks of size j among
+    the n elements and leaves the rest to the factors before:
+    c_n = sum_m t_m(n) a_{n-jm}, with t_m(n) = n!/((n-jm)! j!^m m!) the
+    number of ways to pick them.  Each term w_m(n) = t_m(n) a_{n-jm} is an
+    integer, kept running along n - jm fixed:
+    w_m(n) = C(n, j) w_{m-1}(n-j) / m, an exact divmod whose remainder
+    raises.  A factor takes about N^2/(2j) products of a big integer by the
+    small C(n, j), where a convolution with t_m(n) in full would multiply
+    two big integers.  Nothing here is shared with count_beta_k, which
+    conditions on the block of n, or with the walk."""
+    if k < 2:
+        raise ValueError("need k >= 2")
+    if N < 0:
+        raise ValueError("need n >= 0")
+    a = [1] * (N + 1)
+    for j in range(2, k):
+        binom = [comb(n, j) for n in range(N + 1)]
+        c, ways = a[:], a
+        for m in range(1, N // j + 1):
+            # ways becomes w_m(n) for n = jm..N
+            nxt = []
+            for n, x in zip(range(j * m, N + 1), ways):
+                w, r = divmod(binom[n] * x, m)
+                if r:
+                    from fractions import Fraction
+                    raise NonIntegralCoefficient(
+                        f"coefficient {n}: {Fraction(binom[n] * x, m)} ways "
+                        f"with {m} blocks of size {j}")
+                nxt.append(w)
+                c[n] += w
+            ways = nxt
+        a = c
+    return a
 
 
 def egf_crosscheck_sigma_k(N, k):
@@ -489,8 +524,10 @@ def egf_crosscheck_sigma_k(N, k):
     m! for m = k - 1, the powers i^n kept running, and each count read off
     with an exact divmod by m!; a remainder raises.  Nothing here is
     shared with count_sigma_k's Stirling sum or with the walk."""
+    if k < 2:
+        raise ValueError("need k >= 2")
     if N < 0:
-        raise ValueError("order must be >= 0")
+        raise ValueError("need n >= 0")
     m = k - 1
     den = factorial(max(m, 0))
     weights = [sum((-1) ** (j - i) * comb(j, i) * (den // factorial(j))

@@ -37,7 +37,6 @@ from partavoid.enumeration import (
     gf_coeffs_rational,
     h_series_check,
     monomial,
-    _egf_counts,
     _poly_div_one_minus_t,
 )
 from partavoid.bijections import generate_14_23_core
@@ -300,12 +299,19 @@ def test_gf_rational_is_series_division():
 
 def test_sqrt_is_exact_at_the_truncation_order():
     # sqrt(1 - 4z^2) = sum_m -C(2m, m)/(2m - 1) z^(2m), to the last coefficient
-    for N in (0, 1, 2, 7, 84):
+    for N in (0, 1, 2, 7, 84, 2000):
         root = PowerSeries([1, 0, -4], N).sqrt()
         want = [0] * (N + 1)
         for m in range(N // 2 + 1):
             want[2 * m] = Fraction(-comb(2 * m, m), 2 * m - 1)
         assert root.N == N and list(root.coeffs) == want
+
+
+def test_sqrt_squares_back_over_a_non_unit_denominator():
+    # a sparse f whose terms carry the denominators 3 and 7
+    f = PowerSeries([1, Fraction(1, 3), 0, 0, 0, Fraction(-2, 7)], 300)
+    h = f.sqrt()
+    assert h.N == 300 and h * h == f
 
 
 # =========================================================================
@@ -481,10 +487,14 @@ def test_egf_crosschecks_k5(k5_rows):
 
 def test_egf_crosschecks_refuse_a_non_integral_count(monkeypatch):
     # a faulty kernel must raise, not have its count truncated by int()
-    faulty = PowerSeries([1, 1, Fraction(1, 3)], 2)
-    monkeypatch.setattr(PowerSeries, "compose", lambda self, inner: faulty)
-    with pytest.raises(NonIntegralCoefficient, match="coefficient 2"):
-        egf_crosscheck_beta_k(2, 4)
+    with monkeypatch.context() as m:
+        # beta_k counts the two pairs of [4] as C(4, 2) C(2, 2) / 2; C(4, 2)
+        # off by one leaves 7/2 of them
+        m.setattr("partavoid.enumeration.comb",
+                  lambda n, k: comb(n, k) + ((n, k) == (4, 2)))
+        with pytest.raises(NonIntegralCoefficient,
+                           match="coefficient 4: 7/2 ways with 2 blocks of size 2"):
+            egf_crosscheck_beta_k(4, 4)
     # sigma_k sums exponentials with weights over 3!: C(3, 1) off by one
     # puts every count off by 1/6, from 1 at n = 0 to 7/6
     monkeypatch.setattr("partavoid.enumeration.comb",
@@ -493,9 +503,49 @@ def test_egf_crosschecks_refuse_a_non_integral_count(monkeypatch):
         egf_crosscheck_sigma_k(2, 4)
 
 
+@pytest.mark.parametrize("crosscheck", [egf_crosscheck_beta_k, egf_crosscheck_sigma_k])
+def test_egf_crosschecks_refuse_bad_arguments(crosscheck):
+    # the same refusals as count_beta_k and count_sigma_k
+    for N, k in ((5, 1), (5, 0), (0, -3)):
+        with pytest.raises(ValueError, match="need k >= 2"):
+            crosscheck(N, k)
+    with pytest.raises(ValueError, match="need n >= 0"):
+        crosscheck(-1, 4)
+    assert crosscheck(0, 2) == [1]
+
+
+def _egf_counts(series):
+    # n! * [z^n] series for n = 0..N; a count that is not an integer raises
+    out, fact = [], 1
+    for n, x in enumerate(series._num):
+        fact *= n or 1
+        count, r = divmod(x * fact, series._den)
+        if r:
+            raise NonIntegralCoefficient(
+                f"coefficient {n} times {n}! is {series.coeffs[n] * fact}")
+        out.append(count)
+    return out
+
+
+def _ref_egf_beta_k(N, k):
+    # reference: exp composed with exp_{k-1}(z) - 1 through the series kernel
+    return _egf_counts(exp_poly(N, N).compose(exp_poly(k - 1, N) - 1))
+
+
 def _ref_egf_sigma_k(N, k):
     # reference: exp_{k-1} composed with e^z - 1 through the series kernel
     return _egf_counts(exp_poly(k - 1, N).compose(exp_poly(N, N) - 1))
+
+
+@pytest.mark.parametrize("k", range(2, 8))
+def test_egf_beta_k_matches_the_composition(k):
+    for N in range(61):
+        assert egf_crosscheck_beta_k(N, k) == _ref_egf_beta_k(N, k), N
+
+
+@pytest.mark.parametrize("N, k", [(12, 12), (200, 4)])
+def test_egf_beta_k_matches_the_composition_far_out(N, k):
+    assert egf_crosscheck_beta_k(N, k) == _ref_egf_beta_k(N, k)
 
 
 @pytest.mark.parametrize("k", range(2, 8))
