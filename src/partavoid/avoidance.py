@@ -70,18 +70,29 @@ def containment_witness(sigma, tau):
     element on an explicit stack, first choice last, so it tries them in
     the order of a recursive search, finds the same first witness, and no
     recursion limit bounds k.
+
+    Two shapes are answered from tau's blocks alone, before its standard
+    form is looked up, with the witness the search would find first: one
+    block (beta_k, k its size) and all singletons (sigma_k).  Neither
+    depends on tau's labels.  Blocks within [tau.n] number tau.n only when
+    all are singletons, so that is the test for sigma_k; an all-singleton
+    tau with a larger tau.n is answered after the lookup.
     """
+    blocks = sigma.blocks
+    r = len(tau.blocks)
+    if r == 1:  # beta_k: the first block with k elements
+        k = len(tau.blocks[0])
+        for b in blocks:
+            if len(b) >= k:
+                return b[:k]
+        return None
+    if tau.n == r:  # sigma_k (the empty pattern too): the first k blocks' minima
+        return tuple([b[0] for b in blocks[:r]]) if r <= len(blocks) else None
     tau, k, pb, opens = _pattern_data(tau)
     n = sigma.n
-    blocks = sigma.blocks
-    if k > n or len(tau.blocks) > len(blocks):
+    if k > n or r > len(blocks):
         return None
-    if not k:
-        return ()
-    # two shapes the search would answer with its own first witness
-    if len(tau.blocks) == 1:  # beta_k: the first block with k elements
-        return next((tuple(b[:k]) for b in blocks if len(b) >= k), None)
-    if len(tau.blocks) == k:  # sigma_k: the first k blocks' minima
+    if r == k:  # sigma_k, with tau.n past k
         return tuple(b[0] for b in blocks[:k])
     bound = [0] * len(tau.blocks)  # the sigma block of each opened pattern block
     choice = [0] * (k + 1)

@@ -241,7 +241,9 @@ def slide(pi, i, k, a):
         raise PreconditionViolated(f"no block {i}")
     B = pi.blocks[i - 1]
     n = pi.n
-    if not _beta_in_block(B, k, a, n):
+    # a block of fewer than k - 1 elements holds no punctured pattern of
+    # [k], so it is refused without the block check
+    if len(B) < k - 1 or not _beta_in_block(B, k, a, n):
         raise PreconditionViolated(f"block {i} does not contain the position-{a} pattern")
     if _beta_in_block(B, k, a + 1, n):
         raise PreconditionViolated(f"block {i} contains the position-{a + 1} pattern")
@@ -289,14 +291,15 @@ def phi_a(pi, k, a):
     if not 2 <= a <= k - 1:
         raise PreconditionViolated("phi_a needs 2 <= a <= k-1")
     n = pi.n
-    if any(_beta_in_block(b, k, a + 1, n) for b in pi.blocks):
+    if any(len(b) >= k - 1 and _beta_in_block(b, k, a + 1, n) for b in pi.blocks):
         raise PreconditionViolated(f"input contains the position-{a + 1} pattern")
     cur = pi
     for i in range(1, len(pi.blocks) + 1):
-        if _beta_in_block(cur.blocks[i - 1], k, a, n):
+        b = cur.blocks[i - 1]
+        if len(b) >= k - 1 and _beta_in_block(b, k, a, n):
             cur = slide(cur, i, k, a)
     for b in cur.blocks:  # re-check the image verdict
-        if _beta_in_block(b, k, a, n):
+        if len(b) >= k - 1 and _beta_in_block(b, k, a, n):
             raise BijectionError("image fails to avoid the target pattern")
     return cur
 
@@ -306,12 +309,12 @@ def phi_a_inverse(rho, k, a):
     if not 2 <= a <= k - 1:
         raise PreconditionViolated("needs 2 <= a <= k-1")
     n = rho.n
-    if any(_beta_in_block(b, k, a, n) for b in rho.blocks):
+    if any(len(b) >= k - 1 and _beta_in_block(b, k, a, n) for b in rho.blocks):
         raise PreconditionViolated(f"input contains the position-{a} pattern")
     cur = rho
     for i in range(len(rho.blocks), 0, -1):
         b = cur.blocks[i - 1]
-        if _beta_in_block(b, k, a + 1, n):
+        if len(b) >= k - 1 and _beta_in_block(b, k, a + 1, n):
             cur = _unslide(cur, i, k, a)
     return cur
 
@@ -396,21 +399,28 @@ def _pair_pattern(b1, b2):
 def two_block_varphi_inverse(rho, sigma):
     """Coalesce block pairs that realize sigma; inverts two_block_varphi.
 
-    A pair can realize sigma only when its smaller block is at least as
-    large as sigma's smaller block and its larger block as sigma's larger,
-    so the containment search runs on those pairs alone."""
+    rho must contain sigma.  A partition with a block of k elements is a
+    fixed point, and the containment search checks that.  Otherwise the
+    pairs of blocks that realize sigma are exactly what the precondition
+    asks for: an occurrence of sigma, which has two blocks, lies in two
+    blocks of rho, so rho contains sigma iff some pair does.  A pair can
+    realize sigma only when its smaller block is at least as large as
+    sigma's smaller block and its larger block as sigma's larger, so the
+    containment search runs on those pairs alone."""
     sigma = _two_block_data(sigma)[0]
     k = sigma.n
-    if avoids(rho, sigma):
-        raise PreconditionViolated("input must contain the two-block pattern")
     if contains(rho, single_block_pattern(k)):
+        if avoids(rho, sigma):
+            raise PreconditionViolated("input must contain the two-block pattern")
         return rho  # the fixed-point case
     blocks = rho.blocks
     lo, hi = sorted(len(b) for b in sigma.blocks)
-    pairs = ((i, j) for i, j in combinations(range(len(blocks)), 2)
+    pairs = [(i, j) for i, j in combinations(range(len(blocks)), 2)
              if min(len(blocks[i]), len(blocks[j])) >= lo
              and max(len(blocks[i]), len(blocks[j])) >= hi
-             and contains(_pair_pattern(blocks[i], blocks[j]), sigma))
+             and contains(_pair_pattern(blocks[i], blocks[j]), sigma)]
+    if not pairs:
+        raise PreconditionViolated("input must contain the two-block pattern")
     merged = components(range(len(blocks)), pairs)
     return SetPartition([[x for i in c for x in blocks[i]] for c in merged], rho.n)
 
@@ -515,9 +525,11 @@ def lex_rank_family(alpha, target):
 def _encode_growth(w, c_block):
     """a: open a singleton; b: extend the last block; c: extend the block
     of index c_block among those opened so far."""
+    if not isinstance(w, ABCWord):  # an ABCWord was checked when it was built
+        w = ABCWord(w)
     word = []
     opened = 0
-    for ch in ABCWord(w):
+    for ch in w:
         if ch == "a":
             opened += 1
             word.append(opened)

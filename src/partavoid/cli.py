@@ -187,7 +187,7 @@ def _verify_slide(k, n, seed):
         by_block = {}  # block index i -> the pi whose i-th block slides
         for pi in pool:
             for i, block in enumerate(pi.blocks, start=1):
-                if _beta_in_block(block, k, a, n):
+                if len(block) >= k - 1 and _beta_in_block(block, k, a, n):
                     by_block.setdefault(i, []).append(pi)
         for i, src in by_block.items():
             problem = _replay(

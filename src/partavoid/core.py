@@ -52,7 +52,8 @@ class InvalidRGF(PartitionError):
 class SetPartition:
     """A set partition of [n], kept in standard form.
 
-    Immutable; equality and hashing are structural (same n, same blocks).
+    Immutable; equality is structural (same n, same blocks), and the hash
+    is the blocks'.
     """
 
     __slots__ = ("n", "blocks")
@@ -189,7 +190,7 @@ class SetPartition:
         )
 
     def __hash__(self):
-        return hash((self.n, self.blocks))
+        return hash(self.blocks)  # equal partitions have equal blocks
 
     def __len__(self):
         return len(self.blocks)
@@ -408,17 +409,21 @@ class Composition(tuple):
 
 @lru_cache(maxsize=None)
 def single_block_pattern(k):
-    """The partition of [k] with one block (shared: SetPartition is immutable)."""
+    """The partition of [k] with one block, one shared object per k
+    (SetPartition is immutable), so callers need not hoist it."""
     return SetPartition([range(1, k + 1)], k)
 
 
+@lru_cache(maxsize=None)
 def singletons_pattern(k):
-    """The partition of [k] into k singletons."""
+    """The partition of [k] into k singletons, one shared object per k."""
     return SetPartition([[x] for x in range(1, k + 1)], k)
 
 
+@lru_cache(maxsize=None)
 def punctured_block_pattern(k, a):
-    """1..(a-1)(a+1)..k / a: one block missing the point a, plus {a}."""
+    """1..(a-1)(a+1)..k / a: one block missing the point a, plus {a}; one
+    shared object per (k, a)."""
     if not 1 <= a <= k:
         raise ValueError("need 1 <= a <= k")
     if k < 2:

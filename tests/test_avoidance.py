@@ -143,6 +143,33 @@ def test_block_and_singleton_patterns_take_the_first_witness():
                 assert w == _ref_witness(sigma, sing)
 
 
+def test_patterns_in_other_labels_answer_as_their_standard_form():
+    # beta_k and sigma_k are read off tau's blocks before its standard form
+    # is looked up, so labels outside [k] must not change an answer; the
+    # last two taus have n past their elements, which the shape test on
+    # tau.n passes on to the lookup
+    taus = [SetPartition([[2, 5, 9]]), SetPartition([[3], [7], [9]]),
+            SetPartition([[2, 9], [5]]), SetPartition([[4, 8], [6, 10]]),
+            SetPartition([[3], [7], [9]], 9), SetPartition([], 3)]
+    for tau in taus:
+        std = standardize(tau.blocks)
+        for n in range(1, 7):
+            for sigma in iter_partitions(n):
+                w = containment_witness(sigma, tau)
+                assert w == containment_witness(sigma, std), (sigma, tau)
+                assert contains(sigma, tau) == (w is not None) == contains_bruteforce(sigma, tau)
+                assert avoids(sigma, tau) == (w is None) == avoids(sigma, std)
+
+
+def test_block_and_singleton_shapes_skip_the_pattern_lookup(monkeypatch):
+    monkeypatch.setattr(avoidance, "_pattern_data", None)
+    sigma = P("135/24/6")
+    assert containment_witness(sigma, SetPartition([[2, 5, 9]])) == (1, 3, 5)
+    assert containment_witness(sigma, SetPartition([[3], [7], [9]])) == (1, 2, 6)
+    assert containment_witness(sigma, SetPartition([[3], [7], [9], [11]])) is None
+    assert containment_witness(sigma, SetPartition([])) == ()
+
+
 def test_fast_matches_bruteforce_exhaustive():
     taus = list(iter_partitions(3))
     for sigma in iter_partitions(5):

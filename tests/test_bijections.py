@@ -218,6 +218,22 @@ def test_two_block_inverse_matches_every_pair_search():
                     assert two_block_varphi_inverse(rho, sigma) == _ref_varphi_inverse(rho, sigma), (rho, sigma)
 
 
+def test_two_block_inverse_refuses_every_avoider_of_sigma():
+    # the precondition is the containment search when rho has a block of k
+    # elements (the fixed-point branch) and the pair scan otherwise
+    branches = set()
+    for sigma in iter_partitions(4):
+        if len(sigma.blocks) != 2:
+            continue
+        for n in range(4, 8):
+            for rho in iter_partitions(n):
+                if avoids(rho, sigma):
+                    branches.add(max(map(len, rho.blocks)) >= 4)
+                    with pytest.raises(PreconditionViolated, match="must contain the two-block"):
+                        two_block_varphi_inverse(rho, sigma)
+    assert branches == {False, True}
+
+
 def test_pair_pattern_is_the_standard_form_of_the_pair():
     # the inverse builds each pair's pattern from a rank map, unchecked
     for pi in iter_partitions(7):
@@ -342,6 +358,17 @@ def test_word_membership():
     assert not w.is_star() and not w.is_doublestar()
     assert ABCWord("aaccba").is_star()
     assert ABCWord("abbacb").is_doublestar()
+
+
+def test_encoders_check_plain_words_and_trust_typed_ones():
+    for enc in (encode_14_2_3, encode_1_24_3):
+        for text in ("ac", "ba", "", "abd"):
+            with pytest.raises(NotInW):
+                enc(text)
+    for w in iter_abc_words(8):
+        assert type(w) is ABCWord and type(str(w)) is str
+        assert encode_14_2_3(w) == encode_14_2_3(str(w))
+        assert encode_1_24_3(w) == encode_1_24_3(str(w))
 
 
 def test_encode_14_2_3_worked_example():

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -14,11 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import K4_COMPLEMENTS, K4_ROWS, K5_ROWS
-from partavoid.avoidance import avoider_counts
+from partavoid.avoidance import avoider_counts, block_contains_beta, iter_avoiders
 from partavoid.bijections import BijectionError
 from partavoid import cli
 from partavoid.cli import VERIFY, _sample, main
-from partavoid.core import SetPartition, iter_partitions
+from partavoid.core import SetPartition, iter_partitions, punctured_block_pattern
 
 
 def run(capsys, *argv):
@@ -256,6 +257,22 @@ def test_verify_reports_sampled_coverage(capsys, monkeypatch):
     rc, out, err = run(capsys, "verify", "--map", "words_14_2_3", "--n", "8")
     assert rc == 0 and out == "pass: words_14_2_3 (n=8, sampled 100 of 871)\n"
     assert err == "note: sampled 100 of the corpus\n"
+
+
+def test_verify_slide_replays_every_sliding_block(capsys, monkeypatch):
+    # each input is slid once at each block holding the position-a pattern,
+    # blocks of exactly k - 1 elements included
+    slid = []
+    real = cli.slide
+    monkeypatch.setattr(cli, "slide", lambda pi, i, k, a: slid.append((str(pi), i, a)) or real(pi, i, k, a))
+    rc, out, _ = run(capsys, "verify", "--map", "slide")
+    assert rc == 0 and out == "pass: slide (k=5, n=7, exhaustive)\n"
+    k, n = 5, 7
+    want = [(str(pi), i, a) for a in range(2, k)
+            for pi in iter_avoiders(n, punctured_block_pattern(k, a + 1))
+            for i, b in enumerate(pi.blocks, start=1) if block_contains_beta(b, k, a, n)]
+    assert Counter(slid) == Counter(want)
+    assert any(len(SetPartition.parse(pi).blocks[i - 1]) == k - 1 for pi, i, _ in slid)
 
 
 @pytest.mark.parametrize("flags", [["--n", "0"], ["--k", "0"], ["--k", "4", "--n", "0"]])

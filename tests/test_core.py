@@ -240,6 +240,18 @@ def test_pattern_factories():
         punctured_block_pattern(4, 5)
 
 
+def test_pattern_factories_share_one_object_per_argument():
+    for k in range(2, 7):
+        assert single_block_pattern(k) is single_block_pattern(k)
+        assert singletons_pattern(k) is singletons_pattern(k)
+        for a in range(1, k + 1):
+            assert punctured_block_pattern(k, a) is punctured_block_pattern(k, a)
+    for k, a in ((4, 0), (4, 5), (1, 1), (0, 0)):
+        for _ in range(2):  # a refusal is not cached
+            with pytest.raises(ValueError):
+                punctured_block_pattern(k, a)
+
+
 def test_block_queries():
     p = SetPartition.parse("135/2/4")
     assert p.block_of(3) == (1, 3, 5)
