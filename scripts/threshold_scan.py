@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Scan the punctured-block chain for several k and report where the
-end-position count first drops strictly below the interior.
+end-position count first drops strictly below the interior.  Exits 5 when
+the chain breaks for some k (a row printed with ok False).
 
 Example:
     python3 scripts/threshold_scan.py --kmin 3 --kmax 5
@@ -37,6 +38,8 @@ def main():
             ",".join(map(str, res["equal_ns"])) or "-",
             ",".join(map(str, res["strict_ns"])) or "-",
             res["ok"]))
+    if not all(res["ok"] for res in results.values()):
+        raise SystemExit(5)
 
 
 if __name__ == "__main__":

@@ -323,19 +323,24 @@ def cmd_verify(args):
 
 
 # =========================================================================
-# table / classes
+# table / classes: all four renderings of a CountTable and a WilfReport
 # =========================================================================
 
 def cmd_table(args):
     if args.k < 2 or args.n_max <= args.k:
         _fail(2, "need --k >= 2 and --n-max > --k")
     table = build_table(args.k, args.n_max)
+    rows = sorted(table.rows.items())
     if args.fmt == "json":
         print(json.dumps({"k": table.k, "n_max": table.n_max,
-                          "rows": {t: list(r) for t, r in sorted(table.rows.items())}},
+                          "rows": {t: list(r) for t, r in rows}},
                          indent=2))
     else:
-        sys.stdout.write(table.to_csv())
+        lines = ["pattern,n,count"]
+        for text, row in rows:
+            for n, c in zip(table.ns(), row):
+                lines.append(f"{text},{n},{c}")
+        print("\n".join(lines))
     return 0
 
 
@@ -351,7 +356,7 @@ def cmd_classes(args):
                 lines.append(f"{idx},{m},{cls['status']}")
         print("\n".join(lines))
     else:
-        print(report.to_json())
+        print(json.dumps(report._asdict(), indent=2))
     return 0
 
 

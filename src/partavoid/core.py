@@ -170,9 +170,6 @@ class SetPartition:
         s = set(subset)
         return [[x for x in b if x in s] for b in self.blocks if s & set(b)]
 
-    def block_sizes(self):
-        return tuple(len(b) for b in self.blocks)
-
     def block_of(self, x):
         for b in self.blocks:
             if x in b:
@@ -363,16 +360,6 @@ class Matching(SetPartition):
     def _standard(cls, blocks, n):
         return cls(blocks, n)  # so that from_rgf checks the block sizes too
 
-    @property
-    def k(self):
-        """Number of doubletons."""
-        return sum(1 for b in self.blocks if len(b) == 2)
-
-    @property
-    def f(self):
-        """Number of singletons."""
-        return sum(1 for b in self.blocks if len(b) == 1)
-
 
 def m_counts(n):
     """The numbers of matchings of [0], ..., [n] (any number of fixed
@@ -393,14 +380,6 @@ class Composition(tuple):
         if any(p < 0 for p in parts):
             raise ValueError("parts must be nonnegative")
         return super().__new__(cls, parts)
-
-    @property
-    def k(self):
-        return len(self)
-
-    @property
-    def total(self):
-        return sum(self)
 
 
 # =========================================================================

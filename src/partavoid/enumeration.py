@@ -19,6 +19,8 @@
 #  sigma_k's a sum of exponentials, both on integer counts with no series.
 #  Integer results are read off with an exact divmod; Fractions are built
 #  only when coeffs is read.
+#  The refinement of the 14/23 core by its cap statistic, h_series_check,
+#  is a tuple of integer rows, one t-polynomial per n, with no series.
 #  This module also owns the map from a pattern to the closed forms that
 #  count it, complements included: closed_count is the one lookup.
 #
@@ -276,51 +278,6 @@ def exp_poly(m, N):
 
 
 # =========================================================================
-# bivariate series for the cap statistic
-# =========================================================================
-
-class BivariateSeries:
-    """Coefficients of z^n as exact t-polynomials, n = 0..N; the t-degree
-    of row n never exceeds n."""
-
-    __slots__ = ("rows", "N")
-
-    def __init__(self, rows):
-        from fractions import Fraction
-        clean = []
-        for n, poly in enumerate(rows):
-            poly = [Fraction(c) for c in poly]
-            while poly and poly[-1] == 0:
-                poly.pop()
-            if len(poly) - 1 > n:
-                raise ValueError(f"row {n} has t-degree {len(poly) - 1} > {n}")
-            clean.append(tuple(poly))
-        object.__setattr__(self, "rows", tuple(clean))
-        object.__setattr__(self, "N", len(clean) - 1)
-
-    def __setattr__(self, *_):
-        raise AttributeError("BivariateSeries is immutable")
-
-    def __getitem__(self, n):
-        return self.rows[n]
-
-    def at_t(self, t):
-        """Specialize t, leaving a list of z-coefficients."""
-        from fractions import Fraction
-        t = Fraction(t)
-        return [sum((c * t ** i for i, c in enumerate(row)), Fraction(0))
-                for row in self.rows]
-
-
-def _poly_div_one_minus_t(poly):
-    # divide by (1 - t): the partial sums, exact iff poly(1) == 0
-    out = list(accumulate(poly))
-    if out and out[-1] != 0:
-        raise InexactDivision("numerator does not vanish at t = 1")
-    return out[:-1]
-
-
-# =========================================================================
 # closed counting formulas
 # =========================================================================
 
@@ -456,10 +413,20 @@ def gf_coeffs_13_24(N):
     return _series(s._num[1:], 2 * s._den, N).integer_coeffs()
 
 
+def _poly_div_one_minus_t(poly):
+    # divide by (1 - t): the partial sums, exact iff poly(1) == 0
+    out = list(accumulate(poly))
+    if out and out[-1] != 0:
+        raise InexactDivision("numerator does not vanish at t = 1")
+    return out[:-1]
+
+
 def h_series_check(N):
     """Solve H(z,t) = z^2 t + z t H(z,1) + (z^2 t/(1-t))(H(z,1) - t H(z,t))
-    order by order in z.  Row n collects t^(cap count) over the size-n
-    singleton-free 14/23 avoiders."""
+    order by order in z.  Row n, for n = 0..N, is the tuple of integer
+    t-coefficients of [z^n]H, trailing zeros stripped: entry j counts the
+    size-n singleton-free 14/23 avoiders with j caps, so the row has at
+    most n + 1 entries and sums to [z^n] of core_gf_14_23."""
     if N < 2:
         raise ValueError("need N >= 2")
     rows = [(), ()]
@@ -471,8 +438,10 @@ def h_series_check(N):
         poly[1] = sum(rows[n - 1]) + (n == 2)
         for i, c in enumerate(quot):
             poly[i + 1] += c
-        rows.append(poly)
-    return BivariateSeries(rows)
+        while poly[-1] == 0:
+            poly.pop()
+        rows.append(tuple(poly))
+    return tuple(rows)
 
 
 def egf_crosscheck_beta_k(N, k):
@@ -592,7 +561,6 @@ def closed_count(tau, n, method):
 
 
 __all__ = [
-    "BivariateSeries",
     "ComposeNonzeroConstant",
     "DivByZeroConstant",
     "InexactDivision",

@@ -13,7 +13,6 @@
 #
 ###############################################################################
 
-import json
 from collections import namedtuple
 
 from .avoidance import avoider_counts, avoids, count_avoiders
@@ -51,13 +50,6 @@ class CountTable(namedtuple("CountTable", "k n_max rows")):
 
     def ns(self):
         return range(self.k + 1, self.n_max + 1)
-
-    def to_csv(self):
-        lines = ["pattern,n,count"]
-        for text in sorted(self.rows):
-            for n, c in zip(self.ns(), self.rows[text]):
-                lines.append(f"{text},{n},{c}")
-        return "\n".join(lines) + "\n"
 
 
 def build_table(k, n_max):
@@ -120,9 +112,6 @@ class WilfReport(namedtuple("WilfReport", "k n_max classes order_evidence "
     # classes:        [{"members": [...], "status": ...}]
     # order_evidence: [{"a":, "b":, "first_strict_n":, "direction":}]
     __slots__ = ()
-
-    def to_json(self):
-        return json.dumps(self._asdict(), indent=2)
 
 
 def _first_strict(row_a, row_b, start):

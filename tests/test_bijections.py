@@ -617,8 +617,9 @@ def test_phi_134_2_worked_example():
     lam, skel = phi_134_2(pi)
     assert tuple(lam) == (1, 2, 1)
     assert str(skel) == "14/2/35/6/78"
-    assert type(lam) is Composition and lam.k == 3 and lam.total == 4
-    assert type(skel) is Matching and skel.k == 3 and skel.f == 2
+    assert type(lam) is Composition and (len(lam), sum(lam)) == (3, 4)
+    assert type(skel) is Matching
+    assert sorted(len(b) for b in skel.blocks) == [1, 1, 2, 2, 2]
     assert phi_134_2_inverse(lam, skel) == pi
 
 

@@ -4,6 +4,7 @@ import importlib.util
 import io
 import json
 import os
+import runpy
 import subprocess
 import sys
 from collections import Counter
@@ -392,9 +393,19 @@ def test_table_json(capsys):
     assert d["rows"]["1234"] == [46, 166]
 
 
-def test_table_bad_range(capsys):
-    rc, _, err = run_fail(capsys, "table", "--k", "4", "--n-max", "3", "--format", "csv")
-    assert rc == 2 and "error:" in err
+@pytest.mark.parametrize("bad", [
+    ("--k", "1"),
+    ("--k", "3", "--n-max", "3"),
+    ("--k", "3", "--n-max", "0"),
+    ("--k", "4", "--n-max", "3", "--format", "csv"),
+], ids=["k1", "n_max_equals_k", "n_max0", "n_max_below_k"])
+@pytest.mark.parametrize("sub", ["table", "classes"])
+def test_table_bad_range(capsys, sub, bad):
+    # one error line, exit 2 and nothing on stdout; --n-max 0 is a horizon
+    # given, not "use the default"
+    rc, out, err = run_fail(capsys, sub, *bad)
+    assert rc == 2 and out == ""
+    assert err.startswith("error: need --k >= 2") and err.count("\n") == 1
 
 
 def test_classes_json(capsys):
@@ -744,11 +755,11 @@ print(sorted(m for m in sys.modules if m.startswith("partavoid.")))
 
 
 @pytest.mark.parametrize("argv", [
-    ("class_report.py", "--k", "3", "--n-max", "3"),
-    ("class_report.py", "--k", "1"),
+    ("classes", "--k", "3", "--n-max", "3"),
+    ("classes", "--k", "1"),
     ("threshold_scan.py", "--kmin", "1", "--kmax", "2"),
     ("threshold_scan.py", "--kmin", "3", "--kmax", "3", "--n-max", "3"),
-    ("class_report.py", "--k", "3", "--n-max", "0"),
+    ("classes", "--k", "3", "--n-max", "0"),
     ("threshold_scan.py", "--kmin", "3", "--kmax", "3", "--n-max", "0"),
     ("threshold_scan.py", "--kmin", "3", "--kmax", "5", "--n-max", "5"),
     ("threshold_scan.py", "--kmin", "5", "--kmax", "3"),
@@ -759,12 +770,56 @@ print(sorted(m for m in sys.modules if m.startswith("partavoid.")))
 def test_scripts_report_bad_ranges_as_usage_errors(argv):
     # an out-of-range k or horizon is one error line and exit 2, never a
     # traceback, and nothing on stdout, not even the rows of the k that
-    # are in range; --n-max 0 is a horizon given, not "use the default"
-    script = Path(__file__).resolve().parents[1] / "scripts" / argv[0]
+    # are in range; --n-max 0 is a horizon given, not "use the default".
+    # A name without ".py" is a subcommand of the CLI run as a process (the
+    # class report is `partavoid classes`), whose error lines carry no prefix.
+    if argv[0].endswith(".py"):
+        command = [str(Path(__file__).resolve().parents[1] / "scripts" / argv[0])]
+        prefix = argv[0] + ": error: "
+    else:
+        command, prefix = ["-m", "partavoid.cli", argv[0]], "error: "
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
-    done = subprocess.run([sys.executable, str(script), *argv[1:]], env=env,
+    done = subprocess.run([sys.executable, *command, *argv[1:]], env=env,
                           capture_output=True, text=True)
     assert done.returncode == 2, done.stderr
     assert done.stdout == "" and "Traceback" not in done.stderr
     errors = [line for line in done.stderr.splitlines() if "error:" in line]
-    assert len(errors) == 1 and errors[0].startswith(argv[0] + ": error: "), done.stderr
+    assert len(errors) == 1 and errors[0].startswith(prefix), done.stderr
+
+
+def _run_script(monkeypatch, name, *args):
+    """Run scripts/<name> in this process; its exit code (0 when it
+    returns) and stdout."""
+    script = Path(__file__).resolve().parents[1] / "scripts" / name
+    monkeypatch.setattr(sys, "argv", [name, *args])
+    out = io.StringIO()
+    with redirect_stdout(out):
+        try:
+            runpy.run_path(str(script), run_name="__main__")
+            rc = 0
+        except SystemExit as exc:
+            rc = exc.code
+    return rc, out.getvalue()
+
+
+def test_scripts_exit_5_when_a_check_fails(monkeypatch):
+    from partavoid import enumeration, wilf
+    rc, out = _run_script(monkeypatch, "threshold_scan.py", "--kmin", "3", "--kmax", "3")
+    assert rc == 0 and out.splitlines()[-1].endswith(" True")
+    rc, out = _run_script(monkeypatch, "core_growth.py", "--n-max", "6")
+    assert rc == 0 and "MISMATCH" not in out
+
+    check = wilf.check_beta_threshold
+    monkeypatch.setattr(wilf, "check_beta_threshold",
+                        lambda k, n_max: {**check(k, n_max), "ok": False})
+    rc, out = _run_script(monkeypatch, "threshold_scan.py", "--kmin", "3", "--kmax", "3")
+    assert rc == 5 and out.splitlines()[-1].endswith(" False")
+
+    # a wrong cap histogram at the last level alone, the sizes still right
+    rows = enumeration.h_series_check
+    monkeypatch.setattr(enumeration, "h_series_check",
+                        lambda N: rows(N)[:-1] + ((0, sum(rows(N)[-1])),))
+    rc, out = _run_script(monkeypatch, "core_growth.py", "--n-max", "6")
+    lines = out.splitlines()
+    assert rc == 5 and lines[-1].endswith("  MISMATCH")
+    assert not any("MISMATCH" in line for line in lines[:-1])

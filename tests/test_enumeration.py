@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from itertools import product
@@ -12,7 +13,6 @@ from partavoid.enumeration import (
     DEN_1_24_3,
     NUM_14_2_3,
     NUM_1_24_3,
-    BivariateSeries,
     ComposeNonzeroConstant,
     DivByZeroConstant,
     InexactDivision,
@@ -443,9 +443,9 @@ def test_core_gf_pinned():
 
 def test_h_series_rows():
     H = h_series_check(6)
-    assert H.rows[2] == (0, 1)
-    assert H.rows[3] == (0, 1)
-    assert H.rows[4] == (0, 2, 1)
+    assert H[2] == (0, 1)
+    assert H[3] == (0, 1)
+    assert H[4] == (0, 2, 1)
 
 
 def test_h_row_matches_cap_statistic():
@@ -454,7 +454,7 @@ def test_h_row_matches_cap_statistic():
         tally = {}
         for c in generate_14_23_core(n):
             tally[c.caps] = tally.get(c.caps, 0) + 1
-        row = H.rows[n]
+        row = H[n]
         for j, coef in enumerate(row):
             assert tally.get(j, 0) == coef
 
@@ -462,7 +462,30 @@ def test_h_row_matches_cap_statistic():
 def test_h_at_one_is_core_gf():
     H = h_series_check(10)
     g = core_gf_14_23(10)
-    assert list(H.at_t(1)) == list(g.coeffs)
+    assert [sum(row) for row in H] == list(g.coeffs)
+
+
+def test_h_rows_are_integer_polynomials_of_degree_at_most_n():
+    H = h_series_check(30)
+    assert len(H) == 31 and type(H) is tuple
+    for n, row in enumerate(H):
+        assert type(row) is tuple and all(type(c) is int for c in row)
+        assert not row or row[-1] != 0  # trailing zeros stripped
+        assert len(row) - 1 <= n
+
+
+def test_h_row_sums_are_the_core_counts():
+    g = core_gf_14_23(30).integer_coeffs()
+    assert [sum(row) for row in h_series_check(30)] == g
+
+
+def test_h_rows_are_frozen():
+    # frozen: the first 16 hex digits of sha256 over the rows' repr to
+    # N = 30; every shorter run is a prefix
+    H = h_series_check(30)
+    assert hashlib.sha256(repr(H).encode()).hexdigest()[:16] == "b26f160a2b6bd2fe"
+    for N in range(2, 30):
+        assert h_series_check(N) == H[:N + 1]
 
 
 def test_poly_div_guard():
@@ -579,17 +602,3 @@ def test_sigma_below_beta():
                 assert s < b
             else:
                 assert s == b
-
-
-# =========================================================================
-# bivariate container behaviour
-# =========================================================================
-
-def test_bivariate_degree_guard():
-    with pytest.raises(ValueError):
-        BivariateSeries([(1,), (0, 1, 5)])
-
-
-def test_bivariate_at_t():
-    B = BivariateSeries([(0,), (0, 1), (0, 1, 1)])
-    assert B.at_t(2) == [0, 2, 6]

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from partavoid import wilf
+from partavoid import cli, wilf
 from partavoid.avoidance import avoider_counts
 from partavoid.core import SetPartition, iter_partitions
 from partavoid.wilf import (
@@ -45,14 +45,15 @@ def test_table_complement_symmetry(table4):
         assert table4.row(pat) == table4.row(comp)
 
 
-def test_table_csv(table4):
-    lines = table4.to_csv().splitlines()
+def test_table_csv(table4, capsys):
+    assert cli.main(["table", "--k", "4", "--n-max", "8", "--format", "csv"]) == 0
+    lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "pattern,n,count"
     assert len(lines) == 1 + 15 * 4
     for line in lines[1:]:
         pat, n, count = line.split(",")
         assert int(n) in range(5, 9)
-        assert int(count) > 0
+        assert int(count) == table4.row(pat)[int(n) - 5] > 0
 
 
 # build_table walks one member of each complement pair, so complementation
@@ -158,9 +159,11 @@ def test_k5_short_horizon_merges_chain():
     assert cluster["status"] == "equivalent up to n_max=7"
 
 
-def test_report_json_round_trip(table4):
+def test_report_json_round_trip(table4, capsys):
     rep = wilf_classes(table4)
-    d = json.loads(rep.to_json())
+    assert cli.main(["classes", "--k", "4", "--n-max", "8", "--format", "json"]) == 0
+    d = json.loads(capsys.readouterr().out)
+    assert d == json.loads(json.dumps(rep._asdict()))
     assert d["k"] == 4 and d["n_max"] == 8
     assert len(d["classes"]) == 11
     assert d["labels"] == rep.labels
