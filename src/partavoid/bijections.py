@@ -39,8 +39,6 @@ from .core import (
     _growth_words,
     components,
     single_block_pattern,
-    singletons_pattern,
-    spanning_doubleton_pattern,
     standardize,
 )
 from .avoidance import (

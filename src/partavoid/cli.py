@@ -54,7 +54,6 @@ from .bijections import (
     _unslide,
 )
 from .core import (
-    PartitionError,
     SetPartition,
     iter_partitions,
     iter_rgf_words,
@@ -74,7 +73,7 @@ def _fail(code, message):
 def _parse_pattern(text):
     try:
         return SetPartition.parse(text)
-    except (PartitionError, ValueError) as exc:
+    except ValueError as exc:  # PartitionError is one
         _fail(2, f"cannot parse pattern {text!r}: {exc}")
 
 
@@ -83,6 +82,8 @@ def _parse_pattern(text):
 # =========================================================================
 
 def cmd_count(args):
+    if args.shards < 1:
+        _fail(2, f"need --shards >= 1, got {args.shards}")
     tau = _parse_pattern(args.pattern)
     if args.n < 1:
         _fail(2, "need --n >= 1")
@@ -153,11 +154,6 @@ def _sample(items, seed, cap=20000):
     return pool, seen
 
 
-def _corpus(n, tau, seed):
-    """The partitions of [n] that avoid tau, from the pruned walk."""
-    return _sample(iter_avoiders(n, tau), seed)
-
-
 def _replay(src, forward, back=None, image_ok=None):
     """Replay forward over the list src; the first failure as text, or None.
     Each image must pass image_ok(input, image), lead back to its input
@@ -183,7 +179,7 @@ def _verify_slide(k, n, seed):
     if k < 3:  # a runs over 2..k-1
         _fail(2, f"need --k >= 3 for slide, got k={k}")
     for a in range(2, k):
-        pool, _ = _corpus(n, punctured_block_pattern(k, a + 1), seed)
+        pool, _ = _sample(iter_avoiders(n, punctured_block_pattern(k, a + 1)), seed)
         by_block = {}  # block index i -> the pi whose i-th block slides
         for pi in pool:
             for i, block in enumerate(pi.blocks, start=1):
@@ -203,7 +199,7 @@ def _verify_phi_a(k, n, seed):
         _fail(2, f"need --k >= 3 for phi_a, got k={k}")
     for a in range(2, k):
         lo = punctured_block_pattern(k, a)
-        src, seen = _corpus(n, punctured_block_pattern(k, a + 1), seed)
+        src, seen = _sample(iter_avoiders(n, punctured_block_pattern(k, a + 1)), seed)
         problem = _replay(src, lambda pi: phi_a(pi, k, a),
                           lambda out: phi_a_inverse(out, k, a),
                           lambda pi, out: avoids(out, lo))
@@ -235,7 +231,7 @@ def _verify_two_block(k, n, seed):
 
 def _verify_psi(k, n, seed):
     beta = single_block_pattern(k)
-    src, _ = _corpus(n, singletons_pattern(k), seed)
+    src, _ = _sample(iter_avoiders(n, singletons_pattern(k)), seed)
     return _replay(src, lambda pi: psi_sigma_beta(pi, k), image_ok=lambda pi, out: (
         avoids(out, beta) and not has_forbidden_pair(out, k)))
 
@@ -275,7 +271,7 @@ def _verify_core(k, n, seed):
 
 
 def _verify_phi_134_2(k, n, seed):
-    pool, _ = _corpus(n, SetPartition.parse("134/2"), seed)
+    pool, _ = _sample(iter_avoiders(n, SetPartition.parse("134/2")), seed)
     src = [pi for pi in pool if len(pi.blocks) < pi.n]  # phi_134_2 needs a block of two
     return _replay(src, phi_134_2, lambda image: phi_134_2_inverse(*image))
 
@@ -326,10 +322,17 @@ def cmd_verify(args):
 # table / classes: all four renderings of a CountTable and a WilfReport
 # =========================================================================
 
-def cmd_table(args):
-    if args.k < 2 or args.n_max <= args.k:
+def _table(args):
+    """The CountTable of --k up to --n-max, or up to k's default horizon
+    when --n-max is not given."""
+    n_max = default_horizon(args.k) if args.n_max is None else args.n_max
+    if args.k < 2 or n_max <= args.k:
         _fail(2, "need --k >= 2 and --n-max > --k")
-    table = build_table(args.k, args.n_max)
+    return build_table(args.k, n_max)
+
+
+def cmd_table(args):
+    table = _table(args)
     rows = sorted(table.rows.items())
     if args.fmt == "json":
         print(json.dumps({"k": table.k, "n_max": table.n_max,
@@ -345,10 +348,7 @@ def cmd_table(args):
 
 
 def cmd_classes(args):
-    if args.k < 2 or args.n_max <= args.k:
-        _fail(2, "need --k >= 2 and --n-max > --k")
-    table = build_table(args.k, args.n_max)
-    report = wilf_classes(table)
+    report = wilf_classes(_table(args))
     if args.fmt == "csv":
         lines = ["class,pattern,status"]
         for idx, cls in enumerate(report.classes):
@@ -363,6 +363,15 @@ def cmd_classes(args):
 # =========================================================================
 # argument wiring
 # =========================================================================
+
+def _table_flags(fmt):
+    """The flags of table and classes, whose --format defaults to fmt."""
+    return [
+        (("--k",), {"type": int, "required": True}),
+        (("--n-max",), {"type": int, "dest": "n_max", "default": None}),
+        (("--format",), {"choices": ["csv", "json"], "default": fmt, "dest": "fmt"}),
+    ]
+
 
 # name -> (help, arguments, handler); each argument is (flags, keywords) for
 # add_argument.  Each handler looks its cmd_ function up by name at call
@@ -387,16 +396,10 @@ COMMANDS = {
         (("--n",), {"type": int, "default": None}),
         (("--seed",), {"type": int, "default": 0}),
     ], lambda args: cmd_verify(args)),
-    "table": ("avoider table over all patterns of [k]", [
-        (("--k",), {"type": int, "required": True}),
-        (("--n-max",), {"type": int, "dest": "n_max", "default": None}),
-        (("--format",), {"choices": ["csv", "json"], "default": "csv", "dest": "fmt"}),
-    ], lambda args: cmd_table(args)),
-    "classes": ("empirical Wilf classes", [
-        (("--k",), {"type": int, "required": True}),
-        (("--n-max",), {"type": int, "dest": "n_max", "default": None}),
-        (("--format",), {"choices": ["csv", "json"], "default": "json", "dest": "fmt"}),
-    ], lambda args: cmd_classes(args)),
+    "table": ("avoider table over all patterns of [k]", _table_flags("csv"),
+              lambda args: cmd_table(args)),
+    "classes": ("empirical Wilf classes", _table_flags("json"),
+                lambda args: cmd_classes(args)),
 }
 
 
@@ -471,21 +474,12 @@ def main(argv=None):
         try:
             if args is None:
                 args = _build_parser().parse_args(argv)
-            return _dispatch(args)
+            return args.run(args)
         finally:
             sys.stdout.flush()
     except BrokenPipeError:
         _silence_stdout()
         _fail(2, "output closed by the reader (broken pipe)")
-
-
-def _dispatch(args):
-    shards = getattr(args, "shards", 1)  # only count takes --shards
-    if shards < 1:
-        _fail(2, f"need --shards >= 1, got {shards}")
-    if getattr(args, "n_max", 0) is None:  # table and classes
-        args.n_max = default_horizon(args.k)
-    return args.run(args)
 
 
 if __name__ == "__main__":

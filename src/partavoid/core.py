@@ -206,13 +206,18 @@ class SetPartition:
 
 def _disjoint_blocks(blocks):
     """The blocks as sets, and their union; raises EmptyBlock or
-    OverlappingBlocks unless they are nonempty and pairwise disjoint."""
+    OverlappingBlocks unless they are nonempty, pairwise disjoint and
+    without an element repeated inside one of them."""
     seen = set()
     sets = []
-    for b in blocks:
-        b = set(b)
+    for block in blocks:
+        block = tuple(block)
+        b = set(block)
         if not b:
             raise EmptyBlock("empty block")
+        if len(b) < len(block):
+            repeated = sorted(x for x in b if block.count(x) > 1)
+            raise OverlappingBlocks(f"elements repeated within a block: {repeated}")
         if seen & b:
             raise OverlappingBlocks(f"elements repeated across blocks: {sorted(seen & b)}")
         seen |= b
@@ -255,7 +260,8 @@ def components(items, pairs):
 # =========================================================================
 
 class RGFWord(tuple):
-    """A restricted growth function: a_1 = 1 and a_i <= 1 + max(prefix)."""
+    """A restricted growth function: a_1 = 1 and a_i <= 1 + max(prefix).
+    The letters are integers or digits, so RGFWord("12211") reads text."""
 
     def __new__(cls, letters):
         word = []
@@ -270,16 +276,6 @@ class RGFWord(tuple):
         if not word:
             raise InvalidRGF("empty word")
         return super().__new__(cls, word)
-
-    @classmethod
-    def parse(cls, text):
-        """Digits ("12211") or comma-separated integers ("1,2,2,1,1")."""
-        text = text.strip()
-        if "," in text:
-            return cls(int(tok) for tok in text.split(","))
-        if not text.isdigit():
-            raise InvalidRGF(f"cannot read RGF text {text!r}")
-        return cls(int(ch) for ch in text)
 
     def __str__(self):
         if max(self) <= 9:

@@ -1,6 +1,5 @@
 from itertools import combinations
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -186,9 +185,9 @@ def test_fast_matches_bruteforce_sampled(i, j):
 
 
 def test_rgf_contains_pinned():
-    assert rgf_contains(RGFWord.parse("12211"), RGFWord.parse("1122")) is False
-    assert rgf_contains(RGFWord.parse("1122"), RGFWord.parse("1122"))
-    assert rgf_contains(RGFWord.parse("1122"), RGFWord.parse("11"))
+    assert rgf_contains(RGFWord("12211"), RGFWord("1122")) is False
+    assert rgf_contains(RGFWord("1122"), RGFWord("1122"))
+    assert rgf_contains(RGFWord("1122"), RGFWord("11"))
 
 
 def test_rgf_contains_matches_the_subsequence_filter():

@@ -653,3 +653,55 @@ def test_word_round_trip_property(text):
     if w is None or not w.is_star():
         return
     assert decode_14_2_3(encode_14_2_3(w)) == w
+
+
+# =========================================================================
+# refusals of the public maps
+# =========================================================================
+
+@pytest.mark.parametrize("call,exc,match", [
+    pytest.param(lambda: slide(P("1 3/2 5 6 7 8 9/4 10"), 2, 5, 1),
+                 PreconditionViolated, "2 <= a <= k-1", id="slide-a_below_2"),
+    pytest.param(lambda: slide(P("1 3/2 5 6 7 8 9/4 10"), 2, 5, 5),
+                 PreconditionViolated, "2 <= a <= k-1", id="slide-a_equals_k"),
+    pytest.param(lambda: slide(P("1 3/2 5 6 7 8 9/4 10"), 4, 5, 2),
+                 PreconditionViolated, "no block 4", id="slide-no_block_i"),
+    pytest.param(lambda: slide(P("1 3/2 5 6 7 8 9/4 10"), 0, 5, 2),
+                 PreconditionViolated, "no block 0", id="slide-block_0"),
+    pytest.param(lambda: slide(P("1245/3"), 1, 4, 2),
+                 PreconditionViolated, "contains the position-3 pattern",
+                 id="slide-holds_position_a_plus_1"),
+    pytest.param(lambda: _unslide(P("12/3"), 2, 5, 2),
+                 PreconditionViolated, "too small", id="unslide-too_small"),
+    pytest.param(lambda: _unslide(P("1357/2/4/6"), 1, 5, 2),
+                 PreconditionViolated, "not parked", id="unslide-not_parked"),
+    pytest.param(lambda: _unslide(P("1234"), 1, 5, 2),
+                 PreconditionViolated, "no room", id="unslide-no_room"),
+    pytest.param(lambda: phi_a(P("12"), 5, 1),
+                 PreconditionViolated, "2 <= a <= k-1", id="phi_a-a_below_2"),
+    pytest.param(lambda: phi_a(P("12"), 5, 5),
+                 PreconditionViolated, "2 <= a <= k-1", id="phi_a-a_equals_k"),
+    pytest.param(lambda: phi_a_inverse(P("12"), 5, 1),
+                 PreconditionViolated, "2 <= a <= k-1", id="phi_a_inverse-a_below_2"),
+    pytest.param(lambda: phi_a_inverse(P("12"), 5, 5),
+                 PreconditionViolated, "2 <= a <= k-1", id="phi_a_inverse-a_equals_k"),
+    pytest.param(lambda: RWord((1, 4), 4),
+                 InvalidRWord, "outside 1..3", id="RWord-letter_past_k_minus_1"),
+    pytest.param(lambda: RWord((1, 0), 4),
+                 InvalidRWord, "outside 1..3", id="RWord-letter_0"),
+    pytest.param(lambda: RWord((), 4), InvalidRWord, "empty word", id="RWord-empty"),
+    pytest.param(lambda: RWord((1,), 1), ValueError, "need k >= 2", id="RWord-k_below_2"),
+    pytest.param(lambda: phi_134_2_inverse(Composition([0, 0]), Matching([[1, 2], [3]], 3)),
+                 PreconditionViolated, "composition length",
+                 id="phi_134_2_inverse-wrong_length"),
+    pytest.param(lambda: two_block_gamma(P("12/34"), 4),
+                 ValueError, "need n > k", id="two_block_gamma-n_equals_k"),
+    pytest.param(lambda: two_block_gamma(P("1/23"), 2),
+                 ValueError, "need n > k", id="two_block_gamma-n_below_k"),
+    pytest.param(lambda: psi_sigma_beta(P("1"), 1),
+                 PreconditionViolated, "need k >= 2", id="psi_sigma_beta-k_below_2"),
+])
+def test_public_maps_refuse_with_their_documented_class(call, exc, match):
+    with pytest.raises(exc, match=match) as info:
+        call()
+    assert type(info.value) is exc

@@ -104,6 +104,14 @@ def test_count_bad_shards_exits_2(capsys, shards):
     assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
+def test_count_all_disagreement_exits_4(capsys, monkeypatch):
+    # a closed form one too high: every value is printed, then DISAGREE
+    closed = cli.closed_count
+    monkeypatch.setattr(cli, "closed_count", lambda tau, n, method: closed(tau, n, method) + 1)
+    rc, out, err = run_fail(capsys, "count", "--pattern", "1234", "--n", "5", "--method", "all")
+    assert rc == 4 and out == "46 47 47 DISAGREE\n" and err == ""
+
+
 def test_count_pattern_of_one(capsys):
     rc, out, _ = run(capsys, "count", "--pattern", "1", "--n", "3", "--method", "all")
     assert rc == 0 and out.strip() == "0 AGREE"
@@ -187,6 +195,19 @@ def test_avoid_avoids(capsys):
 def test_avoid_bad_input(capsys):
     rc, _, err = run_fail(capsys, "avoid", "--sigma", "1/1", "--tau", "12")
     assert rc == 2 and "error:" in err
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(argv, id=" ".join(argv)) for argv in [
+        ["avoid", "--sigma", "12", "--tau", "112"],
+        ["avoid", "--sigma", "123", "--tau", "112"],
+        ["count", "--pattern", "11", "--n", "3"],
+    ]])
+def test_a_pattern_that_repeats_an_element_exits_2(capsys, argv):
+    # 112 and 11 are no partitions, not the patterns 12 and 1
+    rc, out, err = run_fail(capsys, *argv)
+    assert rc == 2 and out == ""
+    assert err.startswith("error: cannot parse pattern ") and len(err.splitlines()) == 1
 
 
 def test_avoid_far_past_the_recursion_limit(capsys):
@@ -371,6 +392,25 @@ def test_verify_failure_exits_5(capsys, monkeypatch, name, target, broken):
     assert rc == 5
     assert out.startswith(f"fail: {name}: ") and len(out.splitlines()) == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name,target,broken,line", [
+    pytest.param("phi_a", "count_avoiders", lambda n, tau: -1,
+                 "not surjective at a=2 n=7", id="phi_a-not_surjective"),
+    pytest.param("words_14_2_3", "count_avoiders", lambda n, tau: -1,
+                 "count mismatch: 871 words vs -1 avoiders", id="words_14_2_3-count_mismatch"),
+    pytest.param("rgf_R", "iter_r_words", lambda n, k: iter([(1,) * n]),
+                 "set sizes differ: 1094 vs 1", id="rgf_R-set_sizes_differ"),
+    pytest.param("core_14_23", "generate_14_23_core", lambda n: iter(()),
+                 "set mismatch: extra=set() missing=", id="core_14_23-set_mismatch"),
+])
+def test_verify_check_failure_lines(capsys, monkeypatch, name, target, broken, line):
+    # a check that compares a map with a count or a listing fails with its
+    # own line when the other side is wrong
+    monkeypatch.setattr(cli, target, broken)
+    rc, out, err = run_fail(capsys, "verify", "--map", name)
+    assert rc == 5 and out.startswith(f"fail: {name}: {line}")
+    assert len(out.splitlines()) == 1 and "Traceback" not in err
 
 
 # =========================================================================
@@ -754,7 +794,7 @@ print(sorted(m for m in sys.modules if m.startswith("partavoid.")))
     assert done.stdout == f"{expected}\n"
 
 
-@pytest.mark.parametrize("argv", [
+@pytest.mark.parametrize("argv", [pytest.param(argv, id=" ".join(argv)) for argv in [
     ("classes", "--k", "3", "--n-max", "3"),
     ("classes", "--k", "1"),
     ("threshold_scan.py", "--kmin", "1", "--kmax", "2"),
@@ -766,7 +806,7 @@ print(sorted(m for m in sys.modules if m.startswith("partavoid.")))
     ("core_growth.py", "--n-max", "-1"),
     ("core_growth.py", "--n-max", "0"),
     ("core_growth.py", "--n-max", "1"),
-])
+]])
 def test_scripts_report_bad_ranges_as_usage_errors(argv):
     # an out-of-range k or horizon is one error line and exit 2, never a
     # traceback, and nothing on stdout, not even the rows of the k that

@@ -61,9 +61,9 @@ def test_validation_errors():
     with pytest.raises(EmptyBlock):
         SetPartition.from_blocks([[1, 2], []], 2)
     with pytest.raises(InvalidRGF):
-        RGFWord.parse("13")
+        RGFWord("13")
     with pytest.raises(InvalidRGF):
-        RGFWord.parse("2")
+        RGFWord("2")
 
 
 def test_cover_check_is_bounded_by_the_blocks():
@@ -93,7 +93,7 @@ def test_str_compact_vs_spaced():
 def test_rgf_pinned():
     assert str(SetPartition.parse("145/23").to_rgf()) == "12211"
     assert str(SetPartition.parse("12/34").to_rgf()) == "1122"
-    assert SetPartition.from_rgf(RGFWord.parse("12211")) == SetPartition.parse("145/23")
+    assert SetPartition.from_rgf(RGFWord("12211")) == SetPartition.parse("145/23")
 
 
 @given(rgf_words)
@@ -135,14 +135,26 @@ def test_block_check_is_shared():
     # from_blocks and standardize raise the same errors, word for word
     for blocks, exc, text in (([[1, 2], []], EmptyBlock, "empty block"),
                               ([[1, 3], [3, 2]], OverlappingBlocks,
-                               "elements repeated across blocks: [3]")):
+                               "elements repeated across blocks: [3]"),
+                              ([[1, 2, 1, 2], [3]], OverlappingBlocks,
+                               "elements repeated within a block: [1, 2]")):
         for build in (lambda: SetPartition.from_blocks(blocks, 3),
                       lambda: standardize(blocks)):
             with pytest.raises(exc) as info:
                 build()
             assert str(info.value) == text
-    # a repeat inside one block is a set, as before
-    assert str(standardize([[4, 4], [9]])) == "1/2"
+
+
+@pytest.mark.parametrize("text,exc", [
+    ("1 1 2", OverlappingBlocks), ("1/2 2", OverlappingBlocks),
+    # the compact reading repeats a digit, and the whole-number reading of
+    # the chunks covers no [n]
+    ("112", NotACover), ("1/22", NotACover), ("11", NotACover),
+])
+def test_parse_refuses_a_repeated_element(text, exc):
+    # 112 is no partition, not the pattern 12
+    with pytest.raises(exc):
+        SetPartition.parse(text)
 
 
 def test_components():
@@ -274,7 +286,7 @@ def _copies(x):
 
 def test_pickle_and_copy_round_trip():
     cases = [SetPartition.parse("13/24"), Matching([[1, 3], [2]], 3),
-             Matching([], 0), RGFWord.parse("1213"), Composition([0, 2, 1])]
+             Matching([], 0), RGFWord("1213"), Composition([0, 2, 1])]
     for x in cases:
         for y in _copies(x):
             assert y == x and type(y) is type(x)

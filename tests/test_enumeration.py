@@ -6,8 +6,8 @@ from math import comb, perm
 
 import pytest
 
-from partavoid.avoidance import avoids, count_avoiders
-from partavoid.core import SetPartition, iter_partitions, perfect_matchings, stirling2
+from partavoid.avoidance import count_avoiders
+from partavoid.core import SetPartition, perfect_matchings, stirling2
 from partavoid.enumeration import (
     DEN_14_2_3,
     DEN_1_24_3,
