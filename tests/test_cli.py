@@ -794,19 +794,20 @@ print(sorted(m for m in sys.modules if m.startswith("partavoid.")))
     assert done.stdout == f"{expected}\n"
 
 
-@pytest.mark.parametrize("argv", [pytest.param(argv, id=" ".join(argv)) for argv in [
-    ("classes", "--k", "3", "--n-max", "3"),
-    ("classes", "--k", "1"),
-    ("threshold_scan.py", "--kmin", "1", "--kmax", "2"),
-    ("threshold_scan.py", "--kmin", "3", "--kmax", "3", "--n-max", "3"),
-    ("classes", "--k", "3", "--n-max", "0"),
-    ("threshold_scan.py", "--kmin", "3", "--kmax", "3", "--n-max", "0"),
-    ("threshold_scan.py", "--kmin", "3", "--kmax", "5", "--n-max", "5"),
-    ("threshold_scan.py", "--kmin", "5", "--kmax", "3"),
-    ("core_growth.py", "--n-max", "-1"),
-    ("core_growth.py", "--n-max", "0"),
-    ("core_growth.py", "--n-max", "1"),
-]])
+# each case names its id, so removing or inserting one renames no other
+@pytest.mark.parametrize("argv", [pytest.param(argv, id=name) for name, argv in {
+    "argv0": ("classes", "--k", "3", "--n-max", "3"),
+    "argv1": ("classes", "--k", "1"),
+    "argv2": ("threshold_scan.py", "--kmin", "1", "--kmax", "2"),
+    "argv3": ("threshold_scan.py", "--kmin", "3", "--kmax", "3", "--n-max", "3"),
+    "argv4": ("classes", "--k", "3", "--n-max", "0"),
+    "argv5": ("threshold_scan.py", "--kmin", "3", "--kmax", "3", "--n-max", "0"),
+    "argv6": ("threshold_scan.py", "--kmin", "3", "--kmax", "5", "--n-max", "5"),
+    "argv7": ("threshold_scan.py", "--kmin", "5", "--kmax", "3"),
+    "argv8": ("core_growth.py", "--n-max", "-1"),
+    "argv9": ("core_growth.py", "--n-max", "0"),
+    "argv10": ("core_growth.py", "--n-max", "1"),
+}.items()])
 def test_scripts_report_bad_ranges_as_usage_errors(argv):
     # an out-of-range k or horizon is one error line and exit 2, never a
     # traceback, and nothing on stdout, not even the rows of the k that
