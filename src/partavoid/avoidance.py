@@ -2,7 +2,9 @@
 #
 #  Containment and avoidance in Klazar's sense: sigma contains tau when some
 #  subset S of the ground set restricts-and-standardizes to tau.  This module
-#  has the pruned containment search (the point query), a deliberately naive
+#  has the point query, which answers three shapes of tau from its blocks
+#  (one block, all singletons, two blocks: a greedy scan of block pairs) and
+#  runs the pruned containment search for the rest, a deliberately naive
 #  all-subsets checker kept as the test oracle, RGF-word containment for
 #  contrast, the block-level criterion for the patterns 1..(a-1)(a+1)..k/a,
 #  and the exact count and listing of the avoiders of a pattern.  Both grow
@@ -55,6 +57,26 @@ def _pattern_data(tau):
     return tau, k, tuple(pb), tuple(opens)
 
 
+def _pair_witness(x, y, word):
+    """The witness of a two-block pattern in the host blocks x and y, or
+    None.  word gives the pattern block of each element 1..k, 0 for the
+    block of 1 (played by x) and 1 for the other (played by y); each element
+    takes the least element of its host block above the last choice, which
+    finds an embedding whenever one exists with that block map."""
+    rest = (iter(x), iter(y))  # each block is read once, as choices only rise
+    low = 0
+    out = []
+    for t in word:
+        for v in rest[t]:
+            if v > low:
+                break
+        else:
+            return None
+        out.append(v)
+        low = v
+    return tuple(out)
+
+
 def containment_witness(sigma, tau):
     """A subset S with standardize(sigma|S) = tau, or None.
 
@@ -71,12 +93,19 @@ def containment_witness(sigma, tau):
     the order of a recursive search, finds the same first witness, and no
     recursion limit bounds k.
 
-    Two shapes are answered from tau's blocks alone, before its standard
-    form is looked up, with the witness the search would find first: one
-    block (beta_k, k its size) and all singletons (sigma_k).  Neither
-    depends on tau's labels.  Blocks within [tau.n] number tau.n only when
-    all are singletons, so that is the test for sigma_k; an all-singleton
-    tau with a larger tau.n is answered after the lookup.
+    Three shapes are answered from tau's blocks, each with the witness the
+    search would find first, so the search runs only for three or more
+    blocks.  Two come before tau's standard form is looked up, as neither
+    depends on its labels: one block (beta_k, k its size) and all
+    singletons (sigma_k).  Blocks within [tau.n] number tau.n only when all
+    are singletons, so that is the test for sigma_k; an all-singleton tau
+    with a larger tau.n is answered after the lookup.  The third, two
+    blocks A/B with 1 in A, comes after it: tau lies in sigma iff some
+    ordered pair (x, y) of distinct sigma blocks with |x| >= |A| and
+    |y| >= |B| takes tau's block word greedily (_pair_witness).  The search
+    branches only where A and B open, on x and then y in block order, and
+    its least-element rule is that greed, so scanning the pairs with x
+    outer returns its first witness.
     """
     blocks = sigma.blocks
     r = len(tau.blocks)
@@ -94,6 +123,15 @@ def containment_witness(sigma, tau):
         return None
     if r == k:  # sigma_k, with tau.n past k
         return tuple(b[0] for b in blocks[:k])
+    if r == 2:
+        a, b = map(len, tau.blocks)
+        word = pb[1:]
+        for i, x in enumerate(blocks):
+            if len(x) >= a:
+                for j, y in enumerate(blocks):
+                    if j != i and len(y) >= b and (w := _pair_witness(x, y, word)):
+                        return w
+        return None
     bound = [0] * len(tau.blocks)  # the sigma block of each opened pattern block
     choice = [0] * (k + 1)
     untried = [None] * (k + 1)  # (x, sigma block of x), popped from the end

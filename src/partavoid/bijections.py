@@ -43,6 +43,7 @@ from .core import (
 )
 from .avoidance import (
     _beta_in_block,
+    _pair_witness,
     _pattern_data,
     avoids,
     contains,
@@ -157,7 +158,7 @@ class RWord(tuple):
 
     def __new__(cls, letters, k):
         if k < 2:
-            raise ValueError("need k >= 2")
+            raise PreconditionViolated("need k >= 2")
         word = []
         ones = 0
         for x in letters:
@@ -385,15 +386,6 @@ def two_block_varphi(pi, sigma):
     return SetPartition(out, pi.n)
 
 
-def _pair_pattern(b1, b2):
-    """standardize([b1, b2]) for two disjoint blocks in standard form, b1's
-    minimum the smaller, built from a rank map with nothing checked: the
-    images keep each block ascending and b1 first."""
-    rank = {x: r for r, x in enumerate(sorted(b1 + b2), start=1)}
-    return SetPartition._standard(
-        (tuple([rank[x] for x in b1]), tuple([rank[x] for x in b2])), len(rank))
-
-
 def two_block_varphi_inverse(rho, sigma):
     """Coalesce block pairs that realize sigma; inverts two_block_varphi.
 
@@ -401,10 +393,11 @@ def two_block_varphi_inverse(rho, sigma):
     fixed point, and the containment search checks that.  Otherwise the
     pairs of blocks that realize sigma are exactly what the precondition
     asks for: an occurrence of sigma, which has two blocks, lies in two
-    blocks of rho, so rho contains sigma iff some pair does.  A pair can
-    realize sigma only when its smaller block is at least as large as
-    sigma's smaller block and its larger block as sigma's larger, so the
-    containment search runs on those pairs alone."""
+    blocks of rho, so rho contains sigma iff some pair does.  A pair
+    realizes sigma = A/B iff, in one of its two orders (x, y), x holds at
+    least |A| elements, y at least |B|, and the greedy scan of sigma's
+    block word over x and y succeeds (avoidance._pair_witness, the scan
+    containment_witness runs over the pairs of a whole partition)."""
     sigma = _two_block_data(sigma)[0]
     k = sigma.n
     if contains(rho, single_block_pattern(k)):
@@ -412,11 +405,14 @@ def two_block_varphi_inverse(rho, sigma):
             raise PreconditionViolated("input must contain the two-block pattern")
         return rho  # the fixed-point case
     blocks = rho.blocks
-    lo, hi = sorted(len(b) for b in sigma.blocks)
+    a, b = map(len, sigma.blocks)
+    word = _pattern_data(sigma)[2][1:]
+
+    def realizes(x, y):
+        return len(x) >= a and len(y) >= b and _pair_witness(x, y, word) is not None
+
     pairs = [(i, j) for i, j in combinations(range(len(blocks)), 2)
-             if min(len(blocks[i]), len(blocks[j])) >= lo
-             and max(len(blocks[i]), len(blocks[j])) >= hi
-             and contains(_pair_pattern(blocks[i], blocks[j]), sigma)]
+             if realizes(blocks[i], blocks[j]) or realizes(blocks[j], blocks[i])]
     if not pairs:
         raise PreconditionViolated("input must contain the two-block pattern")
     merged = components(range(len(blocks)), pairs)
@@ -430,7 +426,7 @@ def two_block_gamma(sigma, n):
     A, B = sigma.blocks
     k = sigma.n
     if n <= k:
-        raise ValueError("need n > k")
+        raise PreconditionViolated("need n > k")
     blocks = [list(A), list(B) + [k + 1]] + [[x] for x in range(k + 2, n + 1)]
     return SetPartition(blocks, n)
 

@@ -267,7 +267,11 @@ class RGFWord(tuple):
         word = []
         mx = 0
         for a in letters:
-            a = int(a)
+            try:
+                a = int(a)
+            except ValueError:
+                raise InvalidRGF(
+                    f"letter {a!r} at position {len(word) + 1} is not a number") from None
             if a < 1 or a > mx + 1:
                 raise InvalidRGF(f"letter {a} at position {len(word) + 1} breaks the growth rule")
             if a > mx:

@@ -110,16 +110,47 @@ def test_witness_matches_the_recursive_search():
             assert containment_witness(sigma, tau) == _ref_witness(sigma, tau), (sigma, tau)
 
 
+def test_pair_witness_matches_bruteforce():
+    # a pair of blocks realizes a two-block pattern iff the greedy scan
+    # succeeds in one of its two orders; the oracle's verdict depends only
+    # on the pair's standard form, so it is computed once per form
+    sigmas = [s for k in range(2, 6) for s in iter_partitions(k) if len(s.blocks) == 2]
+    words = {s: tuple(1 if e in s.blocks[1] else 0 for e in range(1, s.n + 1)) for s in sigmas}
+    oracle = {}
+    for n in range(2, 8):
+        for pi in iter_partitions(n):
+            for b1, b2 in combinations(pi.blocks, 2):
+                pair = standardize([b1, b2])
+                for sigma in sigmas:
+                    w12 = avoidance._pair_witness(b1, b2, words[sigma])
+                    w21 = avoidance._pair_witness(b2, b1, words[sigma])
+                    if (pair, sigma) not in oracle:
+                        oracle[pair, sigma] = contains_bruteforce(pair, sigma)
+                    assert bool(w12 or w21) == oracle[pair, sigma], (pi, b1, b2, sigma)
+                    for w in (w12, w21):
+                        if w is not None:
+                            assert standardize(pi.restrict(w)) == sigma, (pi, w, sigma)
+    # at k = 6 a block of five first meets a singleton
+    sigmas = [s for s in iter_partitions(6) if len(s.blocks) == 2]
+    for pi in iter_partitions(7):
+        for sigma in sigmas:
+            assert containment_witness(pi, sigma) == _ref_witness(pi, sigma), (pi, sigma)
+
+
 def test_witness_far_past_the_recursion_limit():
     # the search keeps its untried choices on a stack, not on the call stack
     sigma = SetPartition([range(1, 1501)], 1500)
     assert containment_witness(sigma, SetPartition([range(1, 1201)], 1200)) == tuple(range(1, 1201))
     assert containment_witness(SetPartition([[x] for x in range(1, 1201)], 1200),
                                SetPartition([[x] for x in range(1, 1200)], 1199)) == tuple(range(1, 1200))
-    # a shape the search answers itself: one long block and a singleton
+    # one long block and a singleton, answered by the pair scan
     sigma = SetPartition([range(1, 1200), [1200]], 1200)
     tau = SetPartition([range(1, 1199), [1199]], 1199)
     assert containment_witness(sigma, tau) == tuple(range(1, 1199)) + (1200,)
+    # a shape the search answers itself: one long block and two singletons
+    sigma = SetPartition([range(1, 1199), [1199], [1200]], 1200)
+    tau = SetPartition([range(1, 1198), [1198], [1199]], 1199)
+    assert containment_witness(sigma, tau) == tuple(range(1, 1198)) + (1199, 1200)
 
 
 def test_block_and_singleton_patterns_take_the_first_witness():

@@ -1,6 +1,6 @@
 import copy
 import pickle
-from itertools import combinations, islice, product
+from itertools import islice, product
 
 import pytest
 from hypothesis import given, settings
@@ -40,7 +40,6 @@ from partavoid.bijections import (
     two_block_gamma,
     two_block_varphi,
     two_block_varphi_inverse,
-    _pair_pattern,
     _unslide,
 )
 from partavoid.core import (
@@ -232,15 +231,6 @@ def test_two_block_inverse_refuses_every_avoider_of_sigma():
                     with pytest.raises(PreconditionViolated, match="must contain the two-block"):
                         two_block_varphi_inverse(rho, sigma)
     assert branches == {False, True}
-
-
-def test_pair_pattern_is_the_standard_form_of_the_pair():
-    # the inverse builds each pair's pattern from a rank map, unchecked
-    for pi in iter_partitions(7):
-        for b1, b2 in combinations(pi.blocks, 2):
-            got = _pair_pattern(b1, b2)
-            assert got == standardize([b1, b2]), (pi, b1, b2)
-            assert hash(got) == hash(standardize([b1, b2]))
 
 
 # =========================================================================
@@ -690,14 +680,15 @@ def test_word_round_trip_property(text):
     pytest.param(lambda: RWord((1, 0), 4),
                  InvalidRWord, "outside 1..3", id="RWord-letter_0"),
     pytest.param(lambda: RWord((), 4), InvalidRWord, "empty word", id="RWord-empty"),
-    pytest.param(lambda: RWord((1,), 1), ValueError, "need k >= 2", id="RWord-k_below_2"),
+    pytest.param(lambda: RWord((1,), 1),
+                 PreconditionViolated, "need k >= 2", id="RWord-k_below_2"),
     pytest.param(lambda: phi_134_2_inverse(Composition([0, 0]), Matching([[1, 2], [3]], 3)),
                  PreconditionViolated, "composition length",
                  id="phi_134_2_inverse-wrong_length"),
     pytest.param(lambda: two_block_gamma(P("12/34"), 4),
-                 ValueError, "need n > k", id="two_block_gamma-n_equals_k"),
+                 PreconditionViolated, "need n > k", id="two_block_gamma-n_equals_k"),
     pytest.param(lambda: two_block_gamma(P("1/23"), 2),
-                 ValueError, "need n > k", id="two_block_gamma-n_below_k"),
+                 PreconditionViolated, "need n > k", id="two_block_gamma-n_below_k"),
     pytest.param(lambda: psi_sigma_beta(P("1"), 1),
                  PreconditionViolated, "need k >= 2", id="psi_sigma_beta-k_below_2"),
 ])

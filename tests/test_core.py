@@ -96,6 +96,12 @@ def test_rgf_pinned():
     assert SetPartition.from_rgf(RGFWord("12211")) == SetPartition.parse("145/23")
 
 
+@pytest.mark.parametrize("text,letter,pos", [("12a", "'a'", 3), ("1,2", "','", 2), ("1 2", "' '", 2)])
+def test_rgf_text_refuses_a_letter_that_is_not_a_digit(text, letter, pos):
+    with pytest.raises(InvalidRGF, match=f"letter {letter} at position {pos} is not a number"):
+        RGFWord(text)
+
+
 @given(rgf_words)
 def test_rgf_round_trip(word):
     p = SetPartition.from_rgf(RGFWord(word))
