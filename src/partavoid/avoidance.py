@@ -27,12 +27,15 @@
 #  every such level, and from need 2 on a reused move has each child cut
 #  to the level's need; on the last level an unshut child skips its
 #  rebuild.  The block criterion runs one gap loop, which callers holding
-#  blocks in standard form call without the sort.
+#  blocks in standard form call without the sort.  What these and
+#  bijections' two-block maps read of a pattern (its blocks, word and runs)
+#  is computed once, in one cached record per pattern (_pattern_data).
 #
 ###############################################################################
 
+from collections import namedtuple
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, groupby
 
 from .core import SetPartition, standardize
 
@@ -41,11 +44,18 @@ from .core import SetPartition, standardize
 # containment
 # =========================================================================
 
+_Pattern = namedtuple("_Pattern", "tau k pb opens end word runs")
+
+
 @lru_cache(maxsize=None)
 def _pattern_data(tau):
-    """Standard form, size k, the block index of each pattern element 1..k,
-    and for each element the size of its block if it is that block's least
-    element, else 0 (tuples, as the result is shared by every call for tau)."""
+    """The facts about tau that the searches and the block maps read, as a
+    record computed once per pattern (tuples, as it is shared by every call
+    for tau): tau's standard form and size k; pb, the block index of each
+    pattern element 1..k (pb[0] is 0); opens, for each element the size of
+    its block if it is that block's least element, else 0; end, the last
+    element of each block; word, pb[1:], the 0-based block word; and runs,
+    the lengths of the maximal runs of equal letters in word."""
     tau = standardize(tau.blocks)
     k = tau.n
     pb = [0] * (k + 1)
@@ -54,7 +64,9 @@ def _pattern_data(tau):
         opens[b[0]] = len(b)
         for e in b:
             pb[e] = ti
-    return tau, k, tuple(pb), tuple(opens)
+    word = tuple(pb[1:])
+    return _Pattern(tau, k, tuple(pb), tuple(opens), tuple(b[-1] for b in tau.blocks), word,
+                    tuple(len(list(g)) for _, g in groupby(word)))
 
 
 def _pair_witness(x, y, word):
@@ -117,7 +129,7 @@ def containment_witness(sigma, tau):
         return None
     if tau.n == r:  # sigma_k (the empty pattern too): the first k blocks' minima
         return tuple([b[0] for b in blocks[:r]]) if r <= len(blocks) else None
-    tau, k, pb, opens = _pattern_data(tau)
+    tau, k, pb, opens, _, word, _ = _pattern_data(tau)
     n = sigma.n
     if k > n or r > len(blocks):
         return None
@@ -125,7 +137,6 @@ def containment_witness(sigma, tau):
         return tuple(b[0] for b in blocks[:k])
     if r == 2:
         a, b = map(len, tau.blocks)
-        word = pb[1:]
         for i, x in enumerate(blocks):
             if len(x) >= a:
                 for j, y in enumerate(blocks):
@@ -269,17 +280,9 @@ def block_contains_beta(block, k, a, n=None):
 # counting and listing the avoiders over the RGF prefix tree
 # =========================================================================
 
-def _block_ends(k, pb):
-    """The last element of each pattern block, in block order."""
-    end = [0] * (max(pb) + 1)
-    for e in range(1, k + 1):
-        end[pb[e]] = e
-    return end
-
-
-def _placer(k, pb):
-    """The transition shared by the count and the listing, for a pattern of
-    [k] with block index pb.
+def _placer(p):
+    """The transition shared by the count and the listing, for the pattern
+    with record p (_pattern_data).
 
     A prefix carries the partial embeddings of the pattern into it as a dict
     m -> j: m gives the host block of each pattern block 0..r-1 in RGF order,
@@ -295,8 +298,8 @@ def _placer(k, pb):
     keeping those with j >= need, or None when j reaches k: the child
     contains the pattern.  When nothing changes it returns states itself.
     """
-    nxt = pb[1:]  # nxt[j] is the pattern block of element j + 1
-    end = _block_ends(k, pb)
+    k, pb, end = p.k, p.pb, p.end
+    nxt = p.word  # nxt[j] is the pattern block of element j + 1
     r = len(end)
     closes = [e == end[pb[e]] for e in range(k + 1)]  # element e ends its block
     closed = [[e <= j for e in end] for j in range(k + 1)]  # the closed blocks at j
@@ -375,10 +378,10 @@ def avoider_counts(n, tau):
     """
     if n < 1:
         raise ValueError("n must be positive")
-    tau, k, pb, _ = _pattern_data(tau)
-    place = _placer(k, pb)
-    end = _block_ends(k, pb)
-    tk = pb[k]  # the pattern block of element k
+    p = _pattern_data(tau)
+    k, end = p.k, p.end
+    place = _placer(p)
+    tk = p.word[-1]  # the pattern block of element k
     opened = [[i for i, e in enumerate(end) if e > j] for j in range(k + 1)]
     # a used block's signature sums weight[j][i] over the states that map
     # pattern block i to it with j elements placed
@@ -537,10 +540,11 @@ def iter_avoiders(n, tau):
     """
     if n < 1:
         return
-    tau, k, pb, _ = _pattern_data(tau)
-    place = _placer(k, pb)
+    p = _pattern_data(tau)
+    k = p.k
+    place = _placer(p)
     grown = SetPartition._grown
-    tk = pb[k]  # the pattern block of element k
+    tk = p.word[-1]  # the pattern block of element k
     # (the element to place next, the blocks and the states of its prefix)
     stack = [(1, (), {(): 0})]
     while stack:

@@ -28,7 +28,6 @@
 ###############################################################################
 
 from collections import namedtuple
-from functools import lru_cache
 from itertools import combinations
 
 from .core import (
@@ -205,22 +204,24 @@ def iter_r_words(n, k):
 # slide and the cascade phi_a
 # =========================================================================
 
-def _transport_block(pi, i, new_block):
-    """Replace block i of pi by new_block; move everything else to the
-    complement of new_block order-isomorphically."""
+def _transport_block(pi, i, new):
+    """Replace block i of pi by new, an ascending tuple with the block's
+    least element; move everything else to the complement of new
+    order-isomorphically.
+
+    Every element below that least element lies outside both the old block
+    and new, so the rank map fixes it, and it keeps the order of the rest.
+    So the blocks before i keep their minima, the blocks after i keep
+    minima above new's, and each block stays ascending: the image is in
+    standard form as built, with new at index i."""
     n = pi.n
     old = set(pi.blocks[i - 1])
-    new = sorted(new_block)
-    rest_old = [x for x in range(1, n + 1) if x not in old]
-    rest_new = [x for x in range(1, n + 1) if x not in set(new)]
-    rank = dict(zip(rest_old, rest_new))
-    out_blocks = []
-    for j, b in enumerate(pi.blocks, start=1):
-        out_blocks.append(new if j == i else [rank[x] for x in b])
-    out = SetPartition(out_blocks, n)
-    if out.blocks[i - 1] != tuple(new):
-        raise BijectionError("replaced block lost its index")
-    return out
+    kept = set(new)
+    rank = dict(zip([x for x in range(1, n + 1) if x not in old],
+                    [x for x in range(1, n + 1) if x not in kept]))
+    return SetPartition._standard(
+        tuple([new if j == i else tuple([rank[x] for x in b])
+               for j, b in enumerate(pi.blocks, start=1)]), n)
 
 
 def slide(pi, i, k, a):
@@ -233,6 +234,16 @@ def slide(pi, i, k, a):
     (possibly empty when a = k-1) is the final k-a-1 elements.  The gray
     interval becomes x_{a-1}+1 .. x_{a-1}+l; the rest of the partition is
     transported order-isomorphically.
+
+    The two block checks leave nothing else to check.  A gap of the block
+    with j of its elements below holds the position-a pattern when
+    a-1 <= j <= s-k+a, and the position-(a+1) one when a <= j <= s-k+a+1,
+    so the one gap in that range is after x_{a-1} (s >= k-1, so x_a
+    exists): x_a > x_{a-1} + 1, and no gap lies between x_a and x_{a+l},
+    where the top segment starts.  So the top segment starts at
+    x_a + l > x_{a-1} + l, above the new gray interval, and the new block
+    is ascending.  The low segment is not empty, so the block keeps its
+    least element and its index (_transport_block).
     """
     if not 2 <= a <= k - 1:
         raise PreconditionViolated("slide needs 2 <= a <= k-1")
@@ -240,29 +251,20 @@ def slide(pi, i, k, a):
         raise PreconditionViolated(f"no block {i}")
     B = pi.blocks[i - 1]
     n = pi.n
-    # a block of fewer than k - 1 elements holds no punctured pattern of
-    # [k], so it is refused without the block check
-    if len(B) < k - 1 or not _beta_in_block(B, k, a, n):
+    if not _beta_in_block(B, k, a, n):
         raise PreconditionViolated(f"block {i} does not contain the position-{a} pattern")
     if _beta_in_block(B, k, a + 1, n):
         raise PreconditionViolated(f"block {i} contains the position-{a + 1} pattern")
-    s = len(B)
-    ell = s - k + 2
-    if not (s >= k - 1 and B[a - 1] > B[a - 2] + 1):
-        raise BijectionError("block anatomy out of step with the witness checks")
-    low = B[:a - 1]
-    top = B[a - 1 + ell:]
+    ell = len(B) - k + 2
     start = B[a - 2] + 1
-    gray = list(range(start, start + ell))
-    if top and gray[-1] >= top[0]:
-        raise BijectionError("gray interval would collide with the top segment")
-    return _transport_block(pi, i, [*low, *gray, *top])
+    return _transport_block(pi, i, (*B[:a - 1], *range(start, start + ell), *B[a - 1 + ell:]))
 
 
 def _unslide(pi, i, k, a):
     # inverse surgery: the gray interval sits right above the low segment;
     # send it back up to just below the top segment (or to the very top of
-    # [n] when the top segment is empty, which is the a = k-1 case)
+    # [n] when the top segment is empty, which is the a = k-1 case); the
+    # low segment keeps the block's least element, as in slide
     B = list(pi.blocks[i - 1])
     n = pi.n
     s = len(B)
@@ -277,8 +279,7 @@ def _unslide(pi, i, k, a):
     start = (top[0] - ell) if top else (n - ell + 1)
     if start <= low[-1] + 1:
         raise PreconditionViolated("no room to un-slide the gray interval")
-    new_gray = list(range(start, start + ell))
-    return _transport_block(pi, i, low + new_gray + top)
+    return _transport_block(pi, i, (*low, *range(start, start + ell), *top))
 
 
 def phi_a(pi, k, a):
@@ -322,26 +323,13 @@ def phi_a_inverse(rho, k, a):
 # two-block patterns versus the single block
 # =========================================================================
 
-@lru_cache(maxsize=None)
 def _two_block_data(sigma):
-    """sigma's standard form, checked to have two blocks, and its run
-    lengths a_1, b_1, a_2, b_2, ... scanning 1..k through A and B (tuples,
-    as the result is shared by every call for sigma)."""
-    sigma = _pattern_data(sigma)[0]
-    if len(sigma.blocks) != 2:
+    """sigma's pattern record (avoidance._pattern_data), checked to have
+    two blocks."""
+    p = _pattern_data(sigma)
+    if len(p.tau.blocks) != 2:
         raise PreconditionViolated("pattern must have exactly two blocks")
-    a_set = set(sigma.blocks[0])
-    runs_a, runs_b = [], []
-    pos = 1
-    k = sigma.n
-    while pos <= k:
-        in_a = pos in a_set
-        length = 0
-        while pos <= k and (pos in a_set) == in_a:
-            length += 1
-            pos += 1
-        (runs_a if in_a else runs_b).append(length)
-    return sigma, tuple(runs_a), tuple(runs_b)
+    return p
 
 
 def two_block_varphi(pi, sigma):
@@ -353,34 +341,29 @@ def two_block_varphi(pi, sigma):
     the A part (plus the division remainder) and q blocks playing B, so the
     result contains sigma while every new block has fewer than k elements.
     """
-    sigma, runs_a, runs_b = _two_block_data(sigma)
-    k = sigma.n
+    p = _two_block_data(sigma)
+    k = p.k
     if avoids(pi, single_block_pattern(k)):
         raise PreconditionViolated("input must contain the single-block pattern")
-    if contains(pi, sigma):
+    if contains(pi, p.tau):
         return pi
-    A, B = sigma.blocks
-    m = len(B)
+    A, B = p.tau.blocks
     out = []
     for C in pi.blocks:
         if len(C) < k:
             out.append(list(C))
             continue
-        q, r = divmod(len(C) - len(A), m)
+        q, r = divmod(len(C) - len(A), len(B))
         astar = []
-        skipped = []
-        idx = 0
-        for t, a_len in enumerate(runs_a):
-            astar += C[idx:idx + a_len]
-            idx += a_len
-            if t < len(runs_b):
-                skipped.append(C[idx:idx + q * runs_b[t]])
-                idx += q * runs_b[t]
-        astar += C[idx:]  # the last r elements
         parts = [[] for _ in range(q)]
-        for b_len, group in zip(runs_b, skipped):
-            for u in range(q):
-                parts[u] += group[u * b_len:(u + 1) * b_len]
+        idx = 0
+        # the runs alternate A, B, A, ...: astar takes an A run's elements,
+        # and each of the q parts takes a B run's worth of the next ones
+        for t, run in enumerate(p.runs):
+            for part in (parts if t % 2 else (astar,)):
+                part += C[idx:idx + run]
+                idx += run
+        astar += C[idx:]  # the last r elements
         out.append(astar)
         out.extend(parts)
     return SetPartition(out, pi.n)
@@ -398,15 +381,14 @@ def two_block_varphi_inverse(rho, sigma):
     least |A| elements, y at least |B|, and the greedy scan of sigma's
     block word over x and y succeeds (avoidance._pair_witness, the scan
     containment_witness runs over the pairs of a whole partition)."""
-    sigma = _two_block_data(sigma)[0]
-    k = sigma.n
-    if contains(rho, single_block_pattern(k)):
-        if avoids(rho, sigma):
+    p = _two_block_data(sigma)
+    if contains(rho, single_block_pattern(p.k)):
+        if avoids(rho, p.tau):
             raise PreconditionViolated("input must contain the two-block pattern")
         return rho  # the fixed-point case
     blocks = rho.blocks
-    a, b = map(len, sigma.blocks)
-    word = _pattern_data(sigma)[2][1:]
+    a, b = map(len, p.tau.blocks)
+    word = p.word
 
     def realizes(x, y):
         return len(x) >= a and len(y) >= b and _pair_witness(x, y, word) is not None
@@ -422,9 +404,9 @@ def two_block_varphi_inverse(rho, sigma):
 def two_block_gamma(sigma, n):
     """The witness partition A / B+{k+1} / singletons that the splitting map
     never produces (meaningful when |B|+1 < k)."""
-    sigma = _two_block_data(sigma)[0]
-    A, B = sigma.blocks
-    k = sigma.n
+    p = _two_block_data(sigma)
+    A, B = p.tau.blocks
+    k = p.k
     if n <= k:
         raise PreconditionViolated("need n > k")
     blocks = [list(A), list(B) + [k + 1]] + [[x] for x in range(k + 2, n + 1)]
@@ -506,7 +488,7 @@ def lex_rank_family(alpha, target):
         src = list(iter_avoiders(m, alpha))
         dst = list(iter_avoiders(m, target))
         if len(src) > len(dst):
-            raise ValueError(f"no room for an injection at m={m}")
+            raise PreconditionViolated(f"no room for an injection at m={m}")
         table = dict(zip(src, dst))
         return lambda p: table[p]
     return family
@@ -649,7 +631,7 @@ def delta_nonsurjectivity_witness(n, k):
     """The partition 1(k-1)/2(k+1)/3/../(k-2)/k/(k+2)/../n, which is not a
     spanning-doubleton avoider yet encodes to a word no avoider reaches."""
     if not (n > k >= 4):
-        raise ValueError("need n > k >= 4")
+        raise PreconditionViolated("need n > k >= 4")
     blocks = [[1, k - 1], [2, k + 1]]
     blocks += [[x] for x in range(3, k - 1)]
     blocks += [[k]]
@@ -683,7 +665,7 @@ def generate_14_23_core(n):
     insert n into the block of n-1, or increment at a cap (or at n-1) and
     append a doubleton."""
     if n < 2:
-        raise ValueError("need n >= 2")
+        raise PreconditionViolated("need n >= 2")
     levels = {2: {SetPartition([[1, 2]], 2)}}
     for m in range(3, n + 1):
         cur = set()

@@ -140,10 +140,17 @@ class SetPartition:
             blocks = [[int(ch) for ch in c] for c in chunks]
             try:
                 return cls.from_blocks(blocks, max(max(b) for b in blocks))
-            except PartitionError:
+            except PartitionError as first:
                 # all-singleton partitions of n >= 10 have no spaces to
-                # signal the spaced form; retry with whole-number chunks
-                blocks = [[int(c)] for c in chunks]
+                # signal the spaced form; retry with whole-number chunks,
+                # and if those cover no [n], report a compact repeat (112)
+                try:
+                    return cls.from_blocks([[int(c)] for c in chunks],
+                                           max(int(c) for c in chunks))
+                except NotACover:
+                    if isinstance(first, OverlappingBlocks):
+                        raise first from None
+                    raise
         else:
             raise PartitionError(f"cannot read partition text {text!r}")
         n = max(max(b) for b in blocks)

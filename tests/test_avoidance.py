@@ -191,6 +191,26 @@ def test_patterns_in_other_labels_answer_as_their_standard_form():
                 assert avoids(sigma, tau) == (w is None) == avoids(sigma, std)
 
 
+def test_pattern_record_matches_the_blocks():
+    # the one record of a pattern's facts, read by the searches and the
+    # block maps
+    for k in range(1, 7):
+        for tau in iter_partitions(k):
+            p = avoidance._pattern_data(tau)
+            assert (p.tau, p.k) == (tau, k)
+            assert p.word == tuple(x - 1 for x in tau.to_rgf()) == p.pb[1:]
+            assert p.end == tuple(b[-1] for b in tau.blocks)
+            blocks = [tau.block_of(e) for e in range(1, k + 1)]
+            assert p.opens == (0, *(len(b) if b[0] == e else 0
+                                    for e, b in enumerate(blocks, start=1)))
+            assert sum(p.runs) == k and min(p.runs) >= 1
+            start = 0
+            for run in p.runs:  # each run is one letter, and the next run another
+                assert len(set(p.word[start:start + run])) == 1
+                assert start == 0 or p.word[start] != p.word[start - 1]
+                start += run
+
+
 def test_block_and_singleton_shapes_skip_the_pattern_lookup(monkeypatch):
     monkeypatch.setattr(avoidance, "_pattern_data", None)
     sigma = P("135/24/6")
@@ -446,11 +466,11 @@ def test_walk_expands_each_key_once_and_only_cut_keys(monkeypatch):
     calls = []
     placer = avoidance._placer
 
-    def spy(k, pb):
-        place = placer(k, pb)
+    def spy(p):
+        place = placer(p)
 
         def wrapped(states, bi, need):
-            calls.append((frozenset(states.items()), bi, need, need == k - 1))
+            calls.append((frozenset(states.items()), bi, need, need == p.k - 1))
             return place(states, bi, need)
         return wrapped
 

@@ -82,18 +82,52 @@ def test_slide_rejects_wrong_anatomy():
 
 
 def test_slide_unslide_round_trip():
-    k = 5
-    for a in (2, 3, 4):
-        hi = punctured_block_pattern(k, a + 1)
-        for n in (6, 7):
-            for pi in iter_partitions(n):
-                if not avoids(pi, hi):
-                    continue
-                for i in range(1, len(pi.blocks) + 1):
-                    if not block_contains_beta(pi.blocks[i - 1], k, a, n=n):
+    # slide's block checks imply the anatomy its image needs, so the image
+    # is built in standard form, with the moved block still at index i
+    for k in range(3, 7):
+        for a in range(2, k):
+            hi = punctured_block_pattern(k, a + 1)
+            for n in range(k - 1, 9):
+                for pi in iter_partitions(n):
+                    if not avoids(pi, hi):
                         continue
-                    out = slide(pi, i, k, a)
-                    assert _unslide(out, i, k, a) == pi
+                    for i, B in enumerate(pi.blocks, start=1):
+                        if not block_contains_beta(B, k, a, n=n):
+                            continue
+                        out = slide(pi, i, k, a)
+                        assert out == SetPartition(out.blocks, n), (pi, i, k, a)
+                        ell = len(B) - k + 2
+                        moved = (*B[:a - 1], *range(B[a - 2] + 1, B[a - 2] + 1 + ell),
+                                 *B[a - 1 + ell:])
+                        assert out.blocks[i - 1] == moved, (pi, i, k, a)
+                        assert _unslide(out, i, k, a) == pi, (pi, i, k, a)
+
+
+def test_inverses_mirror_the_forward_maps_under_complement():
+    # complementing x -> n+1-x turns the position-a pattern into the
+    # position-(k+1-a) one and a block's low segment into its top segment,
+    # so un-sliding at a is sliding the complement at k-a, and phi_a's
+    # inverse is phi_{k-a} of the complement.  At a = k-1 the mirror
+    # position would be 1, outside slide's range, so _unslide and
+    # phi_a_inverse keep their own code and only 2 <= a <= k-2 is mirrored
+    seen = [0, 0]
+    for k in range(4, 7):
+        for a in range(2, k - 1):
+            for n in range(1, 9):
+                for rho in iter_partitions(n):
+                    rc = rho.complement()
+                    if any(block_contains_beta(B, k, a, n=n) for B in rho.blocks):
+                        continue
+                    seen[1] += 1
+                    assert phi_a_inverse(rho, k, a) == phi_a(rc, k, k - a).complement(), (rho, k, a)
+                    for i, B in enumerate(rho.blocks, start=1):
+                        if not block_contains_beta(B, k, a + 1, n=n):
+                            continue
+                        seen[0] += 1
+                        ic = rc.blocks.index(tuple(sorted(n + 1 - x for x in B))) + 1
+                        assert _unslide(rho, i, k, a) == slide(rc, ic, k, k - a).complement(), \
+                            (rho, i, k, a)
+    assert min(seen) > 1000
 
 
 def test_cascade_worked_example():
@@ -182,6 +216,17 @@ def test_two_block_gamma_needs_two_blocks():
     for text in ("1/2/3", "123"):
         with pytest.raises(PreconditionViolated, match="exactly two blocks"):
             two_block_gamma(P(text), 5)
+
+
+def test_two_block_maps_need_two_blocks():
+    pi = P("123456")
+    for k in range(1, 7):
+        for sigma in iter_partitions(k):
+            if len(sigma.blocks) == 2:
+                continue
+            for f in (two_block_varphi, two_block_varphi_inverse):
+                with pytest.raises(PreconditionViolated, match="exactly two blocks"):
+                    f(pi, sigma)
 
 
 def _ref_varphi_inverse(rho, sigma):
@@ -691,6 +736,14 @@ def test_word_round_trip_property(text):
                  PreconditionViolated, "need n > k", id="two_block_gamma-n_below_k"),
     pytest.param(lambda: psi_sigma_beta(P("1"), 1),
                  PreconditionViolated, "need k >= 2", id="psi_sigma_beta-k_below_2"),
+    pytest.param(lambda: delta_nonsurjectivity_witness(4, 4),
+                 PreconditionViolated, "need n > k >= 4",
+                 id="delta_nonsurjectivity_witness-n_equals_k"),
+    pytest.param(lambda: generate_14_23_core(1),
+                 PreconditionViolated, "need n >= 2", id="generate_14_23_core-n_below_2"),
+    pytest.param(lambda: lex_rank_family(P("1/2/3"), P("12"))(3),
+                 PreconditionViolated, "no room for an injection at m=3",
+                 id="lex_rank_family-no_room"),
 ])
 def test_public_maps_refuse_with_their_documented_class(call, exc, match):
     with pytest.raises(exc, match=match) as info:

@@ -585,6 +585,7 @@ def test_classes_golden_bytes(capsys, argv, digest):
     ("12//3", "error: cannot parse pattern '12//3': empty block in text"),
     ("13", "error: cannot parse pattern '13': blocks cover [13], expected 1..13"),
     ("1 3/2 3", "error: cannot parse pattern '1 3/2 3': elements repeated across blocks: [3]"),
+    ("112", "error: cannot parse pattern '112': elements repeated within a block: [1]"),
 ])
 def test_parse_error_golden_lines(capsys, text, line):
     for argv in (["count", "--n", "5", "--pattern", text],

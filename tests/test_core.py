@@ -67,11 +67,12 @@ def test_validation_errors():
 
 
 def test_cover_check_is_bounded_by_the_blocks():
-    # "1/999999999999" parses as two singletons of a huge ground set; the
-    # check must fail on the element count, not by building the set 1..n
+    # "1/999999999999" is retried as two singletons of a huge ground set;
+    # the check must fail on the element count, not by building the set
+    # 1..n, and parse then reports the compact reading's repeated 9
     with pytest.raises(NotACover):
         SetPartition.from_blocks([[1], [10 ** 12]], 10 ** 12)
-    with pytest.raises(NotACover):
+    with pytest.raises(OverlappingBlocks, match=r"within a block: \[9\]"):
         SetPartition.parse("1/999999999999")
 
 
@@ -154,8 +155,8 @@ def test_block_check_is_shared():
 @pytest.mark.parametrize("text,exc", [
     ("1 1 2", OverlappingBlocks), ("1/2 2", OverlappingBlocks),
     # the compact reading repeats a digit, and the whole-number reading of
-    # the chunks covers no [n]
-    ("112", NotACover), ("1/22", NotACover), ("11", NotACover),
+    # the chunks covers no [n], so the repeat is reported
+    ("112", OverlappingBlocks), ("1/22", OverlappingBlocks), ("11", OverlappingBlocks),
 ])
 def test_parse_refuses_a_repeated_element(text, exc):
     # 112 is no partition, not the pattern 12
